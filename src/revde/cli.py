@@ -22,12 +22,13 @@ import json
 import sys
 import time
 from dataclasses import dataclass, fields
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._util import fmt_float, atomic_write_text
+from ._util import atomic_write_text, fmt_column, fmt_float, write_csv_columns
 from .benchmarks import BENCHMARK_NAMES, get_benchmark
 from .engine import (
     BoxBounds,
@@ -317,22 +318,15 @@ def _run_config(config: ExperimentConfig, method: Method) -> RunConfig:
 
 def _write_combined_summary(summaries: dict, path) -> None:
     """One CSV aligned on raw evaluation index across all methods."""
-    methods = list(summaries)
-    total = max(s.evaluation_index[-1] for s in summaries.values())
+    total = int(max(s.evaluation_index[-1] for s in summaries.values()))
     header = ["evaluation"]
-    for m in methods:
+    columns = [map(str, range(1, total + 1))]
+    for m, s in summaries.items():
         header += [f"{m.value}_mean", f"{m.value}_std"]
-    lines = [",".join(header)]
-    for row in range(int(total)):
-        cells = [str(row + 1)]
-        for m in methods:
-            s = summaries[m]
-            if row < s.mean.size:
-                cells += [fmt_float(s.mean[row]), fmt_float(s.std[row])]
-            else:
-                cells += ["", ""]
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        blanks = total - s.mean.size
+        columns += [chain(fmt_column(s.mean), repeat("", blanks)),
+                    chain(fmt_column(s.std), repeat("", blanks))]
+    write_csv_columns(path, ",".join(header), columns)
 
 
 def _write_eigen_csv(path, f_max: float, f_step: float) -> None:

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import fmt_float, atomic_write_text
+from ._util import fmt_column, write_csv_columns
 from .transforms import (
     MatrixKind,
     Population,
@@ -270,9 +270,23 @@ def initialize_population(bounds: BoxBounds, n: int, rng: np.random.Generator) -
 
 
 def _sample_slot_indices(n: int, per_slot: int, rng: np.random.Generator) -> np.ndarray:
+    """``per_slot`` distinct indices in ``[0, n)`` for each of ``n`` slots.
+
+    Sequential sampling without replacement, all slots at once: column j
+    draws ``r`` uniformly from the ``n - j`` indices its row has not taken
+    yet, then shifts ``r`` past the taken ones in ascending order, which
+    maps it onto the r-th untaken index.  Every row is a uniform ordered
+    draw of distinct indices, as from ``rng.choice(n, per_slot,
+    replace=False)``, at ``per_slot`` RNG calls per generation.
+    """
     idx = np.empty((n, per_slot), dtype=np.int64)
-    for slot in range(n):
-        idx[slot] = rng.choice(n, size=per_slot, replace=False)
+    taken = np.empty((n, 0), dtype=np.int64)
+    for j in range(per_slot):
+        r = rng.integers(0, n - j, size=n)
+        for c in range(j):
+            r += r >= taken[:, c]
+        idx[:, j] = r
+        taken = np.sort(idx[:, : j + 1], axis=1)
     return idx
 
 
@@ -403,14 +417,15 @@ def run_repeated(
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:
-    lines = ["evaluation,best_objective"]
-    for idx, val in zip(trace.evaluation_index, trace.best_objective):
-        lines.append(f"{idx},{fmt_float(val)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv_columns(path, "evaluation,best_objective", [
+        map(str, trace.evaluation_index.tolist()),
+        fmt_column(trace.best_objective),
+    ])
 
 
 def write_summary_csv(summary: RunSummary, path) -> None:
-    lines = ["evaluation,mean,std"]
-    for idx, mean, std in zip(summary.evaluation_index, summary.mean, summary.std):
-        lines.append(f"{idx},{fmt_float(mean)},{fmt_float(std)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv_columns(path, "evaluation,mean,std", [
+        map(str, summary.evaluation_index.tolist()),
+        fmt_column(summary.mean),
+        fmt_column(summary.std),
+    ])

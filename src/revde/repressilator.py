@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from ._accel import njit, select
-from ._util import fmt_float, atomic_write_text
+from ._util import fmt_column, write_csv_columns
 from .engine import BoxBounds, Objective
 
 __all__ = [
@@ -151,7 +152,8 @@ def derivatives(state, params) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Dormand-Prince 5(4) core. Written once, compiled twice (numba + plain).
 # Returns a status code instead of raising so the jitted form stays simple:
-#   0 ok, 1 step underflow, 2 step budget exhausted, 3 non-finite state.
+#   0 ok, 1 step underflow, 2 step budget exhausted.  A non-finite trial
+#   state shrinks the step instead, so persistent blow-up ends in 1.
 # ----------------------------------------------------------------------
 
 def _dopri5_core(a0, hn, bb, aa, y0, times, rtol, atol, max_steps):
@@ -299,7 +301,6 @@ _dopri5 = select(_dopri5_numba, _dopri5_core)
 _STATUS_MESSAGES = {
     1: "step size underflow (system too stiff at these parameters)",
     2: "step budget exhausted before reaching the end of the horizon",
-    3: "state became non-finite",
 }
 
 
@@ -407,11 +408,7 @@ def make_fit_objective(
 # ----------------------------------------------------------------------
 
 def write_observations_csv(obs: ObservationSet, path) -> None:
-    lines = ["t,m1,m2,m3"]
-    for i in range(obs.count):
-        row = [fmt_float(obs.times[i])] + [fmt_float(v) for v in obs.mrna[i]]
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv_columns(path, "t,m1,m2,m3", [fmt_column(obs.times), *map(fmt_column, obs.mrna.T)])
 
 
 def read_observations_csv(path, noise_std: float = 0.0) -> ObservationSet:
@@ -437,9 +434,8 @@ def read_observations_csv(path, noise_std: float = 0.0) -> ObservationSet:
 
 def write_param_history_csv(history, path) -> None:
     """Population snapshots as rows of gen,alpha0,n,beta,alpha,objective."""
-    lines = ["gen,alpha0,n,beta,alpha,objective"]
-    for gen, members, values in history:
-        for row, val in zip(members, values):
-            fields = [str(int(gen))] + [fmt_float(v) for v in row] + [fmt_float(val)]
-            lines.append(",".join(fields))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    gens = chain.from_iterable(repeat(str(int(gen)), len(values)) for gen, _, values in history)
+    members = np.concatenate([m for _, m, _ in history]) if history else np.empty((0, 0))
+    values = np.concatenate([v for _, _, v in history]) if history else np.empty(0)
+    write_csv_columns(path, "gen,alpha0,n,beta,alpha,objective",
+                      [gens, *map(fmt_column, members.T), fmt_column(values)])

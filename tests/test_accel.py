@@ -7,10 +7,22 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import revde
 from revde import NUMBA_ACTIVE, backend_name
 from revde._accel import DISABLE_ENV, numba_disabled_by_env
-from revde._util import atomic_write_text, fmt_float
+from revde._util import atomic_write_text, fmt_column, fmt_float
+from revde.cli import _write_combined_summary
+from revde.engine import Method, RunSummary, RunTrace, write_summary_csv, write_trace_csv
+
+
+def _child_env(**overrides):
+    """Environment for a child interpreter that imports this same revde."""
+    env = dict(os.environ, **overrides)
+    package_root = os.path.dirname(os.path.dirname(revde.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
 
 
 class TestBackendSelection:
@@ -26,7 +38,7 @@ class TestBackendSelection:
 
     def test_disable_env_in_subprocess(self):
         code = "import revde; print(revde.backend_name())"
-        env = dict(os.environ, **{DISABLE_ENV: "1"})
+        env = _child_env(**{DISABLE_ENV: "1"})
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "numpy"
@@ -49,6 +61,59 @@ class TestFmtFloat:
         assert fmt_float(0.5) == "0.5"
         assert fmt_float(1.0) == "1.0"
         assert fmt_float(0.1) == "0.1"
+
+
+# every run boundary fmt_column must see: NaN and +-inf, -0.0 right after
+# 0.0, subnormals, a NaN with another payload, and long constant runs
+EDGE_COLUMN = np.concatenate([
+    [np.nan, np.nan, np.inf, np.inf, -np.inf, 0.0, -0.0, -0.0, 0.0],
+    [5e-324, 5e-324, -2.2250738585072014e-308 / 3],
+    np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64),
+    np.full(500, 3.25), np.full(3, 0.1 + 0.2), [0.3, 1e300, -1e-300],
+])
+
+
+class TestFmtColumn:
+    def test_edge_values_match_fmt_float(self):
+        assert list(fmt_column(EDGE_COLUMN)) == [fmt_float(v) for v in EDGE_COLUMN]
+        assert list(fmt_column(np.empty(0))) == []
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                              st.integers(1, 5)), max_size=30))
+    def test_runs_match_fmt_float(self, runs):
+        column = np.array([v for v, count in runs for _ in range(count)], dtype=np.float64)
+        assert list(fmt_column(column)) == [fmt_float(v) for v in column]
+
+    def test_trace_and_summary_csv_byte_identical(self, tmp_path):
+        index = np.arange(1, EDGE_COLUMN.size + 1)
+        trace = RunTrace(index, EDGE_COLUMN, None, 0.0, Method.DE, 0, index.size, 0)
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        lines = [f"{i},{fmt_float(v)}" for i, v in zip(index, EDGE_COLUMN)]
+        assert (tmp_path / "trace.csv").read_text() == \
+            "\n".join(["evaluation,best_objective", *lines]) + "\n"
+
+        std = EDGE_COLUMN[::-1].copy()
+        write_summary_csv(RunSummary(index, EDGE_COLUMN, std, 2), tmp_path / "summary.csv")
+        lines = [f"{i},{fmt_float(m)},{fmt_float(s)}" for i, m, s in zip(index, EDGE_COLUMN, std)]
+        assert (tmp_path / "summary.csv").read_text() == \
+            "\n".join(["evaluation,mean,std", *lines]) + "\n"
+
+    def test_ragged_combined_summary_byte_identical(self, tmp_path):
+        long, short = EDGE_COLUMN, EDGE_COLUMN[:7]
+        summaries = {
+            Method.REVDE: RunSummary(np.arange(1, short.size + 1), short, -short, 1),
+            Method.DE: RunSummary(np.arange(1, long.size + 1), long, long[::-1], 3),
+        }
+        path = tmp_path / "summary.csv"
+        _write_combined_summary(summaries, path)
+        expected = ["evaluation,revde_mean,revde_std,de_mean,de_std"]
+        for row in range(long.size):
+            cells = [str(row + 1)]
+            for s in summaries.values():
+                cells += ([fmt_float(s.mean[row]), fmt_float(s.std[row])]
+                          if row < s.mean.size else ["", ""])
+            expected.append(",".join(cells))
+        assert path.read_text() == "\n".join(expected) + "\n"
 
 
 class TestAtomicWrite:
@@ -111,7 +176,7 @@ print(json.dumps(out))
 @pytest.fixture(scope="module")
 def both_payloads():
     def run_mode(disable: bool):
-        env = dict(os.environ)
+        env = _child_env()
         env.pop(DISABLE_ENV, None)
         if disable:
             env[DISABLE_ENV] = "1"

@@ -1,10 +1,14 @@
 """Engine loop: accounting, determinism, seeding, traces, threading."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revde.benchmarks import get_benchmark, rastrigin_batch
 from revde.engine import (
+    _sample_slot_indices,
     BoxBounds,
     Method,
     Objective,
@@ -216,15 +220,58 @@ class TestRun:
         assert gens == [0, 1, 2, 3]
 
 
+class TestSlotSampler:
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.sampled_from([3, 7]), extra=st.integers(0, 60), seed=st.integers(0, 2**32))
+    def test_rows_distinct_in_range(self, k, extra, seed):
+        n = k + extra
+        idx = _sample_slot_indices(n, k, np.random.default_rng(seed))
+        assert idx.shape == (n, k)
+        assert idx.min() >= 0 and idx.max() < n
+        ordered = np.sort(idx, axis=1)
+        assert (ordered[:, 1:] != ordered[:, :-1]).all()
+
+    def test_ordered_triples_uniform(self):
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        n, k = 5, 3
+        rng = np.random.default_rng(2024)
+        rows = np.concatenate([_sample_slot_indices(n, k, rng) for _ in range(2400)])
+        radix = n ** np.arange(k)
+        cells = np.array(list(permutations(range(n), k))) @ radix   # the 60 ordered triples
+        counts = np.bincount(rows @ radix, minlength=n**k)
+        assert counts.sum() == counts[cells].sum()
+        expected = rows.shape[0] / cells.size
+        stat = ((counts[cells] - expected) ** 2 / expected).sum()
+        assert chi2.sf(stat, cells.size - 1) > 0.01
+
+    def test_positional_marginals_uniform(self):
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        n, k = 8, 7
+        rng = np.random.default_rng(2025)
+        rows = np.concatenate([_sample_slot_indices(n, k, rng) for _ in range(1500)])
+        expected = rows.shape[0] / n
+        stats = [((np.bincount(rows[:, j], minlength=n) - expected) ** 2 / expected).sum()
+                 for j in range(k)]
+        assert chi2.sf(max(stats), n - 1) > 0.01 / k   # Bonferroni over the k positions
+
+
 class TestGenerationMechanics:
     """Replay one generation with the per-triplet ops and compare."""
 
     def _manual_offspring(self, members, method, f, p, rng, lo, hi):
         n, d = members.shape
         per_slot = 7 if method is Method.DEX3 else 3
+        # column j draws from the n - j untaken indices of every slot, then
+        # steps each draw past the slot's taken indices in ascending order
         idx = np.empty((n, per_slot), dtype=np.int64)
-        for s in range(n):
-            idx[s] = rng.choice(n, size=per_slot, replace=False)
+        for j in range(per_slot):
+            draws = rng.integers(0, n - j, size=n)
+            for s in range(n):
+                r = int(draws[s])
+                for t in sorted(idx[s, :j]):
+                    if r >= t:
+                        r += 1
+                idx[s, j] = r
         trials, parents = [], []
         for s in range(n):
             if method is Method.DE:
