@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 WORKLOADS = (
     "rastrigin batch (512 x D100)",
@@ -128,4 +129,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # run from a checkout: import revde from the repository's src/
+    # (the --worker child runs this same file, so it gets the path too)
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     sys.exit(main())

@@ -1,12 +1,13 @@
 """Optional numba acceleration for the hot numeric kernels.
 
-Every kernel in this package exists in two interchangeable forms: a pure
-numpy implementation and a numba ``@njit``-compiled one.  Which form the
-package dispatches to is decided once, at import time:
+Every kernel in this package exists in two interchangeable forms: a plain
+implementation (numpy, or Python floats for the ODE stepper) and a numba
+``@njit``-compiled one.  Which form the package dispatches to is decided
+once, at import time:
 
-* if numba is not installed, the numpy form is used;
+* if numba is not installed, the plain form is used;
 * if the environment variable ``REVDE_DISABLE_NUMBA`` is set to ``1``,
-  ``true``, ``yes`` or ``on``, the numpy form is used (useful for
+  ``true``, ``yes`` or ``on``, the plain form is used (useful for
   debugging, numerical cross-checking, and platforms where JIT
   compilation misbehaves);
 * otherwise the compiled form is used.

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +135,16 @@ class TestAtomicWrite:
         with pytest.raises(TypeError):
             atomic_write_text(path, Boom())   # type: ignore[arg-type]
         assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_backends_runs_from_checkout(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "bench" / "compare_backends.py"
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run([sys.executable, str(script), "--repeats", "1"], env=env,
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert any(line.startswith("ode solve") for line in proc.stdout.splitlines())
 
 
 AGREEMENT_SCRIPT = r"""

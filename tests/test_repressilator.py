@@ -1,12 +1,15 @@
 """Repressilator dynamics, integration accuracy, and the fitting objective."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from revde.repressilator import (
     DEFAULT_INITIAL_STATE,
+    DEFAULT_PARAM_BOUNDS,
     TRUE_PARAMS,
     IntegrationError,
     ObservationSet,
@@ -143,6 +146,19 @@ class TestIntegrate:
         with pytest.raises(IntegrationError):
             integrate(TRUE_PARAMS, y0_default(), max_steps=3)
 
+    def test_overflowing_slope_is_step_underflow(self):
+        # |f| / scale overflows at the start, so the initial step guess is 0
+        huge = RepressilatorParams(1.0, 2.0, 1e300, 1000.0)
+        with pytest.raises(IntegrationError, match="underflow"):
+            integrate(huge)
+        assert fit_objective(huge, ObservationSet(default_observation_times(),
+                                                  np.zeros((40, 3)))) == math.inf
+
+    def test_tolerance_validation(self):
+        for rtol, atol in ((1e-6, 0.0), (1e-6, -1e-8), (-1e-6, 1e-8), (1e-6, math.nan)):
+            with pytest.raises(ValueError, match="atol"):
+                integrate(TRUE_PARAMS, rtol=rtol, atol=atol)
+
 
 class TestObservations:
     def test_zero_noise_matches_trajectory(self):
@@ -212,6 +228,10 @@ class TestFitObjective:
         assert np.array_equal(batch, scalar)
         assert obj.evaluation_counter == 3
 
+    def test_batch_rejects_wrong_initial_state(self, clean_obs):
+        with pytest.raises(ValueError, match="6 entries"):
+            make_fit_objective(clean_obs, initial=[1.0, 2.0, 3.0])
+
     def test_batch_is_row_permutation_equivariant(self, clean_obs):
         rng = np.random.default_rng(4)
         cands = rng.uniform([0.1, 1.0, 1.0, 100.0], [3.0, 3.0, 8.0, 1500.0],
@@ -262,3 +282,73 @@ class TestCsvInterchange:
         assert len(lines) == 4
         assert lines[1] == "0,1.0,2.0,5.0,1000.0,3.5"
         assert lines[3].startswith("1,0.9,")
+
+
+GOLDEN_PATH = Path(__file__).with_name("repressilator_golden.json")
+
+
+class TestGolden:
+    """Bit-identity of the stepper against values recorded from revde 0.1.0.
+
+    ``repressilator_golden.json`` holds ``float.hex`` of every
+    ``integrate`` sample and of ``fit_objective`` at fixed candidates:
+    the true parameters, both box corners, two interior points, a
+    custom grid and initial state, a step underflow (beta=1e100), a
+    step budget of 3 and the stiff beta=1e6 candidate, which exhausts
+    the default budget.  The values were recorded with the stepper
+    written on 6-element numpy arrays; any change to the order of the
+    floating-point operations shows up here as a changed bit.
+    """
+
+    golden = json.loads(GOLDEN_PATH.read_text())
+
+    @pytest.fixture(scope="class")
+    def obs(self):
+        spec = self.golden["observations"]
+        return generate_observations(TRUE_PARAMS, noise_std=spec["noise_std"],
+                                     rng=np.random.default_rng(spec["seed"]))
+
+    @pytest.mark.parametrize("case", golden["cases"], ids=lambda c: c["name"])
+    def test_samples_and_fit_bit_identical(self, case, obs):
+        kwargs = {k: case[k] for k in ("initial", "times", "max_steps") if k in case}
+        if "samples" in case:
+            out = integrate(case["params"], **kwargs)
+            assert [[v.hex() for v in row] for row in out.tolist()] == case["samples"]
+        if "error" in case:
+            with pytest.raises(IntegrationError) as info:
+                integrate(case["params"], **kwargs)
+            assert str(info.value) == case["error"]
+        if "fit" in case:
+            assert fit_objective(case["params"], obs).hex() == case["fit"]
+
+
+class TestScipyOracle:
+    """fit_objective against an independent tight DOP853 solve."""
+
+    @staticmethod
+    def rhs(_t, y, a0, n, b, a):
+        # the model restated, so a fault in the library's RHS cannot cancel
+        def hill(p):
+            if p <= 0.0:
+                return a
+            return 0.0 if n * math.log(p) > 700.0 else a / (1.0 + p ** n)
+
+        m1, p1, m2, p2, m3, p3 = y
+        return [-m1 + hill(p3) + a0, -b * (p1 - m1),
+                -m2 + hill(p1) + a0, -b * (p2 - m2),
+                -m3 + hill(p2) + a0, -b * (p3 - m3)]
+
+    def test_matches_dop853(self):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        obs = generate_observations(TRUE_PARAMS, noise_std=5.0,
+                                    rng=np.random.default_rng(7))
+        rng = np.random.default_rng(11)
+        box = DEFAULT_PARAM_BOUNDS
+        for cand in rng.uniform(box.lower, box.upper, size=(5, 4)):
+            sol = solve_ivp(self.rhs, (0.0, obs.times[-1]), DEFAULT_INITIAL_STATE,
+                            method="DOP853", t_eval=obs.times, rtol=1e-11, atol=1e-11,
+                            args=tuple(cand))
+            assert sol.success, sol.message
+            sim = sol.y[(0, 2, 4), :].T
+            want = np.mean(np.sqrt(np.sum((obs.mrna - sim) ** 2, axis=1)))
+            assert fit_objective(cand, obs) == pytest.approx(want, rel=1e-6, abs=0.0)
