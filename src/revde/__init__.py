@@ -7,16 +7,14 @@ from .transforms import (
     Population,
     TransformMatrix,
     apply_triplet_transform,
+    binomial_crossover,
     build_matrix,
     de_mutation,
     determinant,
-    dex3_mutation,
     eigen_report,
     invert_triplet_transform,
     repair_bounds,
-    sample_crossover_mask,
     select_survivors,
-    uniform_crossover,
 )
 
 __version__ = "0.1.0"
@@ -30,12 +28,10 @@ __all__ = [
     "EigenReport",
     "Population",
     "de_mutation",
-    "dex3_mutation",
     "build_matrix",
     "apply_triplet_transform",
     "invert_triplet_transform",
-    "sample_crossover_mask",
-    "uniform_crossover",
+    "binomial_crossover",
     "repair_bounds",
     "select_survivors",
     "determinant",

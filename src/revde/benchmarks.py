@@ -1,9 +1,10 @@
 """Benchmark objective functions with their standard box constraints.
 
-Each function comes in two forms: a scalar reference implementation
-(``rastrigin(x)``) and a population-batch kernel (``rastrigin_batch(X)``)
-used by the optimization loop.  The batch kernels are numba-compiled by
-default with a vectorized numpy fallback (see :mod:`revde._accel`).
+Each function is one population-batch kernel (``rastrigin_batch(X)``,
+``(K, D) -> (K,)``), the one the optimization loop calls; a single point
+is a one-row batch, as :meth:`BenchmarkSpec.evaluate` does.  The kernels
+are numba-compiled when numba is available, with a vectorized numpy form
+otherwise (see :mod:`revde._accel`).
 
 Note on Griewank: the sum term here is ``sqrt(x_d^2 / 4000)``, i.e.
 ``|x_d| / sqrt(4000)``, not the more common ``x_d^2 / 4000``.  Pass
@@ -23,10 +24,6 @@ __all__ = [
     "BenchmarkSpec",
     "BENCHMARK_NAMES",
     "get_benchmark",
-    "griewank",
-    "rastrigin",
-    "salomon",
-    "schwefel",
     "griewank_batch",
     "rastrigin_batch",
     "salomon_batch",
@@ -46,49 +43,11 @@ _BOUNDS = {
 BENCHMARK_NAMES = tuple(sorted(_BOUNDS))
 
 
-def _as_point(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError(f"expected a 1-D point, got shape {x.shape}")
-    return x
-
-
 def _as_batch(x) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError(f"expected a (K, D) batch, got shape {x.shape}")
     return x
-
-
-# ----------------------------------------------------------------------
-# scalar reference implementations
-# ----------------------------------------------------------------------
-
-def griewank(x, standard: bool = False) -> float:
-    """Sum of per-coordinate terms minus a product of stretched cosines."""
-    x = _as_point(x)
-    if standard:
-        s = np.sum(x * x / 4000.0)
-    else:
-        s = np.sum(np.sqrt(x * x / 4000.0))
-    d = np.arange(1, x.size + 1, dtype=np.float64)
-    return float(1.0 + s - np.prod(np.cos(x / np.sqrt(d))))
-
-
-def rastrigin(x) -> float:
-    x = _as_point(x)
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(_TWO_PI * x)))
-
-
-def salomon(x) -> float:
-    x = _as_point(x)
-    r = np.sqrt(np.sum(x * x))
-    return float(1.0 - np.cos(_TWO_PI * r) + 0.1 * r)
-
-
-def schwefel(x) -> float:
-    x = _as_point(x)
-    return float(SCHWEFEL_CONSTANT * x.size - np.sum(x * np.sin(np.sqrt(np.abs(x)))))
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -44,7 +45,7 @@ from . import repressilator as rep_mod
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run_experiment", "main"]
 
-PROBLEMS = ("benchmark", "repressilator", "mlp", "analysis")
+PROBLEMS = ("benchmark", "repressilator", "mlp")
 METHOD_ORDER = (Method.DE, Method.DEX3, Method.ADE, Method.REVDE)
 
 # mixes the experiment seed into the observation-noise stream so that
@@ -140,9 +141,6 @@ class ExperimentConfig:
     test_labels: str = ""
     train_size: int = 2000
     shuffle_seed: int = -1          # -1 = keep file order
-    # analysis
-    f_max: float = 2.0
-    f_step: float = 0.015625
 
 
 # key -> caster; every config-file key and its flag twin go through these
@@ -174,8 +172,6 @@ _CASTERS = {
     "test_labels": str.strip,
     "train_size": _cast_int,
     "shuffle_seed": _cast_int,
-    "f_max": _cast_float,
-    "f_step": _cast_float,
 }
 
 # config keys whose dataclass field is named differently
@@ -247,16 +243,11 @@ def _validate(config: ExperimentConfig) -> None:
     if isinstance(config.methods, str):
         config.methods = _cast_methods(config.methods)
 
-    if config.population_size < 4:
-        raise ConfigError(f"n must be >= 4, got {config.population_size}")
-    if Method.DEX3 in config.methods and config.population_size < 7:
-        raise ConfigError("dex3 requires n >= 7 (seven distinct indices per slot)")
-    if config.generations < 1:
-        raise ConfigError(f"generations must be >= 1, got {config.generations}")
-    if not (config.f > 0):
-        raise ConfigError(f"f must be positive, got {config.f}")
-    if not (0.0 < config.crossover_rate <= 1.0):
-        raise ConfigError(f"p must be in (0, 1], got {config.crossover_rate}")
+    for method in config.methods:
+        try:
+            _run_config(config, method)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if config.repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {config.repeats}")
 
@@ -283,11 +274,6 @@ def _validate(config: ExperimentConfig) -> None:
             raise ConfigError("mlp problem needs --train-images and --train-labels")
         if config.train_size < 1:
             raise ConfigError(f"train_size must be >= 1, got {config.train_size}")
-    elif problem == "analysis":
-        if config.f_step <= 0:
-            raise ConfigError(f"f_step must be positive, got {config.f_step}")
-        if config.f_max < config.f_step:
-            raise ConfigError("f_max must be at least one f_step")
 
 
 # ----------------------------------------------------------------------
@@ -407,12 +393,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     }
     started = time.perf_counter()
     try:
-        if config.problem == "analysis":
-            path = outdir / "eigen.csv"
-            _write_eigen_csv(path, config.f_max, config.f_step)
-            manifest["outputs"].append(path.name)
-
-        elif config.problem == "benchmark":
+        if config.problem == "benchmark":
             bench = get_benchmark(
                 config.benchmark, config.dim, griewank_standard=config.griewank_standard
             )
@@ -558,8 +539,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--test-labels", dest="test_labels")
     run_p.add_argument("--train-size", dest="train_size", type=int)
     run_p.add_argument("--shuffle-seed", dest="shuffle_seed", type=int)
-    run_p.add_argument("--f-max", dest="f_max", type=float)
-    run_p.add_argument("--f-step", dest="f_step", type=float)
 
     an_p = sub.add_parser("analyze", help="emit the eigenvalue/determinant table")
     an_p.add_argument("--f-max", dest="f_max", type=float, default=2.0)
@@ -568,34 +547,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RUN_FLAG_KEYS = (
-    "problem", "methods", "n", "generations", "f", "p", "seed", "repeats",
-    "output_dir", "budget_match", "benchmark", "dim", "griewank_standard",
-    "noise_std", "obs_end", "obs_count", "observations",
-    "train_images", "train_labels", "test_images", "test_labels",
-    "train_size", "shuffle_seed", "f_max", "f_step",
-)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
     if args.command == "analyze":
-        if args.f_step <= 0:
-            print("error: --f-step must be positive", file=sys.stderr)
+        if not (math.isfinite(args.f_step) and args.f_step > 0):
+            print("error: --f-step must be positive and finite", file=sys.stderr)
             return 1
-        if args.f_max < args.f_step:
-            print("error: --f-max must be at least one --f-step", file=sys.stderr)
+        if not (math.isfinite(args.f_max) and args.f_max >= args.f_step):
+            print("error: --f-max must be finite and at least one --f-step", file=sys.stderr)
             return 1
         _write_eigen_csv(args.out, args.f_max, args.f_step)
         return 0
 
-    overrides = {}
-    for key in _RUN_FLAG_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
+    # every run flag is named after its config key
+    overrides = {key: value for key, value in vars(args).items() if key in _CASTERS}
     try:
         config = parse_config(args.config, overrides)
     except (ConfigError, OSError) as exc:

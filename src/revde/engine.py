@@ -11,6 +11,7 @@ trace never depends on scheduling.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +25,11 @@ from ._util import fmt_column, write_csv_columns
 from .transforms import (
     MatrixKind,
     Population,
+    apply_triplet_transform,
+    binomial_crossover,
     build_matrix,
+    de_mutation,
+    repair_bounds,
     select_survivors,
 )
 
@@ -153,19 +158,6 @@ class Objective:
         self.evaluation_counter = 0
         self.nan_evaluations = 0
 
-    @classmethod
-    def from_scalar(
-        cls,
-        fn: Callable[[np.ndarray], float],
-        bounds: BoxBounds,
-        name: str = "objective",
-        threads: Optional[int] = None,
-    ) -> "Objective":
-        def batch(x: np.ndarray) -> np.ndarray:
-            return np.array([fn(row) for row in x], dtype=np.float64)
-
-        return cls(batch, bounds, name=name, threads=threads)
-
     @property
     def dim(self) -> int:
         return self.bounds.dim
@@ -216,8 +208,8 @@ class RunConfig:
             raise ValueError("dex3 needs population_size >= 7 (seven distinct indices)")
         if self.generations < 1:
             raise ValueError(f"generations must be >= 1, got {self.generations}")
-        if not (self.f > 0.0):
-            raise ValueError(f"scaling factor f must be positive, got {self.f}")
+        if not (math.isfinite(self.f) and self.f > 0.0):
+            raise ValueError(f"scaling factor f must be positive and finite, got {self.f}")
         if not (0.0 < self.crossover_rate <= 1.0):
             raise ValueError(f"crossover_rate must be in (0, 1], got {self.crossover_rate}")
 
@@ -307,28 +299,19 @@ def _offspring_for_generation(
     f = config.f
     idx = _sample_slot_indices(n, method.indices_per_slot, rng)
 
-    if method is Method.DE:
-        trials = x[idx[:, 0]] + f * (x[idx[:, 1]] - x[idx[:, 2]])
-        parents = x[idx[:, 0]]
-    elif method is Method.DEX3:
-        base = x[idx[:, 0]]
-        trials = np.empty((n, 3, d))
-        trials[:, 0] = base + f * (x[idx[:, 1]] - x[idx[:, 2]])
-        trials[:, 1] = base + f * (x[idx[:, 3]] - x[idx[:, 4]])
-        trials[:, 2] = base + f * (x[idx[:, 5]] - x[idx[:, 6]])
-        trials = trials.reshape(3 * n, d)
-        # all three trials perturb the same base, so it is the parent
-        parents = np.repeat(base, 3, axis=0)
+    kind = method.matrix_kind
+    if kind is None:
+        # DE and DEx3: every trial of a slot perturbs the slot's base,
+        # which is its parent too; (n, 1, d) against (n, 1 or 3, d) pairs
+        parents = x[idx[:, :1]]
+        trials = de_mutation(parents, x[idx[:, 1::2]], x[idx[:, 2::2]], f)
     else:
-        m = build_matrix(method.matrix_kind, f).entries
-        triplets = x[idx]                      # (n, 3, d)
-        trials = (m @ triplets).reshape(3 * n, d)
-        parents = triplets.reshape(3 * n, d)   # y1<->x_i, y2<->x_j, y3<->x_k
+        parents = x[idx]                       # y1<->x_i, y2<->x_j, y3<->x_k
+        trials = apply_triplet_transform(build_matrix(kind, f), parents)
 
-    mask = rng.random(trials.shape) < config.crossover_rate
-    offspring = np.where(mask, trials, parents)
-    np.clip(offspring, bounds.lower, bounds.upper, out=offspring)
-    return offspring
+    offspring = binomial_crossover(trials, parents, config.crossover_rate, rng)
+    del trials, parents                        # freed before repair_bounds allocates
+    return repair_bounds(offspring.reshape(-1, d), bounds.lower, bounds.upper)
 
 
 def run(

@@ -1,9 +1,13 @@
 """Population transformations for differential evolution and its triplet variants.
 
-Candidates are plain 1-D float64 arrays; a :class:`Population` keeps the
-members as an ``(N, D)`` matrix together with their cached objective
-values.  The triplet variants are expressed through an explicit 3x3
-operator (:class:`TransformMatrix`):
+Candidates are float64 rows of length ``D``; a :class:`Population` keeps
+the members as an ``(N, D)`` matrix together with their cached objective
+values.  Every operator works on whole batches with numpy broadcasting
+over the leading axes, and the optimization loop in :mod:`revde.engine`
+calls these same functions; one candidate or one triplet is the same
+call without leading axes.  The triplet variants are expressed through an explicit 3x3
+operator (:class:`TransformMatrix`) acting on stacked ``(..., 3, D)``
+triplets:
 
 * ``ADE_M``  -- identity plus an antisymmetric part scaled by ``f``;
   applying it to a stacked triplet perturbs each member with the scaled
@@ -22,7 +26,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -32,12 +35,10 @@ __all__ = [
     "EigenReport",
     "Population",
     "de_mutation",
-    "dex3_mutation",
     "build_matrix",
     "apply_triplet_transform",
     "invert_triplet_transform",
-    "sample_crossover_mask",
-    "uniform_crossover",
+    "binomial_crossover",
     "repair_bounds",
     "select_survivors",
     "determinant",
@@ -50,20 +51,6 @@ class MatrixKind(Enum):
 
     ADE_M = "ade_m"
     REVDE_R = "revde_r"
-
-
-def _as_vector(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D vector, got shape {v.shape}")
-    return v
-
-
-def _check_same_dim(*vectors: np.ndarray) -> int:
-    dims = {v.shape[0] for v in vectors}
-    if len(dims) != 1:
-        raise ValueError(f"dimension mismatch: got lengths {sorted(dims)}")
-    return dims.pop()
 
 
 def _check_scale(f: float) -> float:
@@ -158,33 +145,25 @@ class Population:
 def de_mutation(base, a, b, f: float) -> np.ndarray:
     """Perturb ``base`` by the scaled difference of two other candidates.
 
-    Returns ``base + f * (a - b)`` as a fresh array.
+    Returns ``base + f * (a - b)`` as a fresh array.  The operands are
+    ``(..., D)`` arrays that share ``D`` and broadcast over the leading
+    axes, so one call builds a whole generation: DEx3's three trials per
+    base are a ``(N, 1, D)`` base against ``(N, 3, D)`` pairs.
     """
-    base = _as_vector(base, "base")
-    a = _as_vector(a, "a")
-    b = _as_vector(b, "b")
-    _check_same_dim(base, a, b)
     f = _check_scale(f)
-    return base + f * (a - b)
-
-
-def dex3_mutation(base, pairs: Sequence[tuple], f: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three independent difference perturbations of one base candidate.
-
-    ``pairs`` holds three ``(first, second)`` vector pairs; trial ``t`` is
-    ``base + f * (first_t - second_t)``.
-    """
-    base = _as_vector(base, "base")
-    if len(pairs) != 3:
-        raise ValueError(f"expected exactly 3 difference pairs, got {len(pairs)}")
-    f = _check_scale(f)
-    out = []
-    for t, (first, second) in enumerate(pairs, start=1):
-        first = _as_vector(first, f"pair {t} first")
-        second = _as_vector(second, f"pair {t} second")
-        _check_same_dim(base, first, second)
-        out.append(base + f * (first - second))
-    return tuple(out)
+    base = np.asarray(base, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if not (base.ndim and a.ndim and b.ndim and base.shape[-1] == a.shape[-1] == b.shape[-1]):
+        raise ValueError(
+            f"operands must share their last axis, got {base.shape}, {a.shape}, {b.shape}"
+        )
+    # hand a and b over as unnamed temporaries: numpy then computes the
+    # difference in the buffer of an operand that no caller still holds
+    # (an array the caller keeps is never written), one array less at peak
+    pair = [a, b]
+    del a, b
+    return base + f * (pair.pop(0) - pair.pop())
 
 
 def build_matrix(kind: MatrixKind, f: float) -> TransformMatrix:
@@ -218,29 +197,31 @@ def build_matrix(kind: MatrixKind, f: float) -> TransformMatrix:
     return TransformMatrix(entries=entries, kind=kind, f=f)
 
 
-def _triplet_stack(x1, x2, x3) -> np.ndarray:
-    x1 = _as_vector(x1, "x1")
-    x2 = _as_vector(x2, "x2")
-    x3 = _as_vector(x3, "x3")
-    _check_same_dim(x1, x2, x3)
-    return np.stack([x1, x2, x3])
+def _check_triplets(x: np.ndarray, name: str) -> None:
+    if x.ndim < 2 or x.shape[-2] != 3:
+        raise ValueError(f"{name} must be stacked (..., 3, D) triplets, got shape {x.shape}")
 
 
-def apply_triplet_transform(m: TransformMatrix, x1, x2, x3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply the operator to a stacked triplet: rows of ``m.entries @ [x1;x2;x3]``."""
-    stacked = _triplet_stack(x1, x2, x3)
-    out = m.entries @ stacked
-    return out[0], out[1], out[2]
+def apply_triplet_transform(m: TransformMatrix, triplets) -> np.ndarray:
+    """Apply the operator to stacked triplets: ``m.entries @ triplets``.
+
+    ``triplets`` is ``(..., 3, D)``; row ``t`` of each output triplet is
+    the ``t``-th row of ``m`` combined with the three input rows.
+    """
+    triplets = np.asarray(triplets, dtype=np.float64)
+    _check_triplets(triplets, "triplets")
+    return m.entries @ triplets
 
 
-def invert_triplet_transform(m: TransformMatrix, y1, y2, y3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Recover the input triplet from transformed rows.
+def invert_triplet_transform(m: TransformMatrix, y) -> np.ndarray:
+    """Recover the stacked ``(..., 3, D)`` input triplets from transformed ones.
 
     Both operator kinds are non-singular for every ``f`` (unit
     determinant for ``REVDE_R``, ``1 + 3f^2`` for ``ADE_M``), so the
     adjugate solve is always well defined.
     """
-    stacked = _triplet_stack(y1, y2, y3)
+    y = np.asarray(y, dtype=np.float64)
+    _check_triplets(y, "y")
     det = determinant(m)
     e = m.entries
     adjugate = np.array(
@@ -250,45 +231,41 @@ def invert_triplet_transform(m: TransformMatrix, y1, y2, y3) -> tuple[np.ndarray
             [e[1, 0] * e[2, 1] - e[1, 1] * e[2, 0], e[0, 1] * e[2, 0] - e[0, 0] * e[2, 1], e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]],
         ]
     )
-    out = (adjugate / det) @ stacked
-    return out[0], out[1], out[2]
+    return (adjugate / det) @ y
 
 
-def sample_crossover_mask(dim: int, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw a boolean mask of independent Bernoulli(rate) bits."""
+def binomial_crossover(trials, parents, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Per-coordinate mix of trials and parents by independent Bernoulli(rate) bits.
+
+    Each coordinate comes from ``trials`` with probability ``rate`` and
+    from ``parents`` otherwise; no coordinate is forced to the trial.
+    The bits are one ``rng.random(trials.shape)`` draw.  ``parents`` may
+    broadcast against ``trials``, e.g. one ``(N, 1, D)`` base shared by
+    ``(N, 3, D)`` trials.
+    """
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"crossover rate must be in (0, 1], got {rate}")
-    if dim < 1:
-        raise ValueError("mask dimension must be >= 1")
-    return rng.random(dim) < rate
-
-
-def uniform_crossover(trial, parent, mask) -> np.ndarray:
-    """Per-coordinate mix: trial where the mask bit is set, parent elsewhere."""
-    trial = _as_vector(trial, "trial")
-    parent = _as_vector(parent, "parent")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != trial.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match candidate shape {trial.shape}")
-    _check_same_dim(trial, parent)
-    return np.where(mask, trial, parent)
+    trials = np.asarray(trials, dtype=np.float64)
+    mask = rng.random(trials.shape) < rate
+    out = np.where(mask, trials, parents)
+    if out.shape != trials.shape:
+        raise ValueError(
+            f"parents of shape {np.shape(parents)} do not broadcast to trials {trials.shape}"
+        )
+    return out
 
 
 def repair_bounds(x, lower, upper) -> np.ndarray:
     """Clip every coordinate into ``[lower_d, upper_d]``.
 
-    Accepts a single candidate ``(D,)`` or a batch ``(K, D)``; idempotent,
-    and boundary values are legal.
+    Accepts ``(..., D)`` candidates; idempotent, and boundary values are
+    legal.  The bounds are taken as given (``lower <= upper``), as
+    :class:`revde.engine.BoxBounds` guarantees; only shapes are checked.
     """
     x = np.asarray(x, dtype=np.float64)
     lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
-    if np.any(lower >= upper):
-        raise ValueError("invalid bounds: lower must be < upper elementwise")
-    if x.shape[-1] != lower.shape[-1]:
-        raise ValueError(
-            f"candidate dimensionality {x.shape[-1]} does not match bounds {lower.shape[-1]}"
-        )
+    if x.shape[-1:] != lower.shape[-1:]:
+        raise ValueError(f"candidates {x.shape} do not match bounds {lower.shape}")
     return np.clip(x, lower, upper)
 
 

@@ -16,6 +16,18 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
+def revde_recursion(x1, x2, x3, f):
+    """RevDE's offspring as three chained difference mutations.
+
+    The literal on-the-fly substitution: each output feeds the next line,
+    which is what the matrix R must reproduce.
+    """
+    y1 = x1 + f * (x2 - x3)
+    y2 = x2 + f * (x3 - y1)
+    y3 = x3 + f * (y1 - y2)
+    return y1, y2, y3
+
+
 def make_synthetic_images(n: int, seed: int, template_seed: int = 5):
     """Learnable 10-class image set: coarse random class templates + noise.
 

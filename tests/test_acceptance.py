@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import make_synthetic_images
+from conftest import make_synthetic_images, revde_recursion
 from revde import NUMBA_ACTIVE, mlp
 from revde.benchmarks import get_benchmark
 from revde.cli import OBS_SEED_TAG, main
@@ -45,14 +45,6 @@ def record(name: str, ok: bool, detail: str = ""):
     assert ok, line
 
 
-def revde_recursion(x1, x2, x3, f):
-    """Three chained difference mutations, later ones reusing earlier outputs."""
-    y1 = x1 + f * (x2 - x3)
-    y2 = x2 + f * (x3 - y1)
-    y3 = x3 + f * (y1 - y2)
-    return y1, y2, y3
-
-
 def test_algebraic_identities():
     started = time.perf_counter()
     worst_det_m = worst_det_r = worst_sym = worst_eig = worst_prod = 0.0
@@ -77,11 +69,11 @@ def test_algebraic_identities():
     rng = np.random.default_rng(2024)
     for dim in (1, 10, 100):
         for _ in range(334):
-            x1, x2, x3 = rng.normal(size=(3, dim)) * 10.0
+            x = rng.normal(size=(3, dim)) * 10.0
             f = float(rng.uniform(0.01, 2.0))
             r = build_matrix(MatrixKind.REVDE_R, f)
-            got = apply_triplet_transform(r, x1, x2, x3)
-            want = revde_recursion(x1, x2, x3, f)
+            got = apply_triplet_transform(r, x)
+            want = revde_recursion(x[0], x[1], x[2], f)
             worst_apply = max(
                 worst_apply, max(np.abs(g - w).max() for g, w in zip(got, want))
             )
@@ -111,8 +103,7 @@ def test_reversibility():
         for kind in (MatrixKind.ADE_M, MatrixKind.REVDE_R):
             m = build_matrix(kind, f)
             x = rng.normal(size=(3, 12)) * 5.0
-            y = apply_triplet_transform(m, x[0], x[1], x[2])
-            back = invert_triplet_transform(m, *y)
+            back = invert_triplet_transform(m, apply_triplet_transform(m, x))
             for orig, rec in zip(x, back):
                 scale = np.maximum(np.abs(orig), 1e-30)
                 worst = max(worst, (np.abs(rec - orig) / scale).max())

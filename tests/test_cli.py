@@ -94,14 +94,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="f must be positive"):
             parse_config(path)
 
+    @pytest.mark.parametrize("method", ["de", "dex3", "ade", "revde"])
+    def test_non_finite_f_rejected(self, tmp_path, capsys, method):
+        cfg = write_config(tmp_path, "problem = rastrigin\nn = 8\ngenerations = 1\n")
+        outdir = tmp_path / "out"
+        for bad in ("inf", "nan"):
+            assert run_cli("run", cfg, "--methods", method, "--f", bad,
+                           "--output-dir", outdir) == 1
+            assert "f must be positive and finite" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_crossover_range(self, tmp_path):
         path = write_config(tmp_path, "problem = rastrigin\np = 1.5\n")
-        with pytest.raises(ConfigError, match="p must be in"):
+        with pytest.raises(ConfigError, match="crossover_rate must be in"):
             parse_config(path)
 
     def test_dex3_population_floor(self, tmp_path):
         path = write_config(tmp_path, "problem = rastrigin\nn = 6\n")
-        with pytest.raises(ConfigError, match="dex3 requires n >= 7"):
+        with pytest.raises(ConfigError, match="dex3 needs population_size >= 7"):
             parse_config(path)
         ok = write_config(tmp_path, "problem = rastrigin\nn = 6\nmethods = revde\n",
                           name="ok.cfg")
@@ -171,6 +181,14 @@ class TestAnalyze:
         assert run_cli("analyze", "--f-max", 0.01, "--f-step", 0.5,
                        "--out", tmp_path / "x.csv") == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [("--f-step", "nan"), ("--f-step", "inf"),
+                                      ("--f-max", "inf"), ("--f-max", "nan")])
+    def test_non_finite_grid_arguments(self, tmp_path, capsys, args):
+        out = tmp_path / "x.csv"
+        assert run_cli("analyze", *args, "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import revde_recursion
 from revde.benchmarks import get_benchmark, rastrigin_batch
 from revde.engine import (
     _sample_slot_indices,
@@ -19,12 +20,6 @@ from revde.engine import (
     run_repeated,
     write_summary_csv,
     write_trace_csv,
-)
-from revde.transforms import (
-    MatrixKind,
-    apply_triplet_transform,
-    build_matrix,
-    de_mutation,
 )
 
 
@@ -75,10 +70,6 @@ class TestObjective:
         with pytest.raises(ValueError):
             obj.evaluate(np.zeros((2, 4)))
 
-    def test_from_scalar(self, bounds):
-        obj = Objective.from_scalar(lambda row: float(row.sum()), bounds)
-        assert np.array_equal(obj.evaluate(np.ones((2, 3))), [3.0, 3.0])
-
     def test_threaded_matches_serial(self, bounds):
         serial = Objective(sphere_batch, bounds, threads=1)
         threaded = Objective(sphere_batch, bounds, threads=3)
@@ -113,6 +104,12 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(method=Method.DE, population_size=10, generations=5, f=0.5,
                       crossover_rate=0.0)
+
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("f", [np.inf, np.nan])
+    def test_non_finite_f_rejected(self, method, f):
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(method=method, population_size=10, generations=5, f=f)
 
     def test_method_from_string(self):
         cfg = RunConfig(method="revde", population_size=8, generations=2, f=0.5)
@@ -256,7 +253,7 @@ class TestSlotSampler:
 
 
 class TestGenerationMechanics:
-    """Replay one generation with the per-triplet ops and compare."""
+    """Replay one generation slot by slot from the paper's formulas and compare."""
 
     def _manual_offspring(self, members, method, f, p, rng, lo, hi):
         n, d = members.shape
@@ -274,23 +271,20 @@ class TestGenerationMechanics:
                 idx[s, j] = r
         trials, parents = [], []
         for s in range(n):
-            if method is Method.DE:
-                trials.append(de_mutation(members[idx[s, 0]], members[idx[s, 1]],
-                                          members[idx[s, 2]], f))
-                parents.append(members[idx[s, 0]])
-            elif method is Method.DEX3:
+            if method in (Method.DE, Method.DEX3):
                 base = members[idx[s, 0]]
-                for t in range(3):
+                for t in range(method.offspring_per_slot):
                     a = members[idx[s, 1 + 2 * t]]
                     b = members[idx[s, 2 + 2 * t]]
-                    trials.append(de_mutation(base, a, b, f))
+                    trials.append(base + f * (a - b))
                     parents.append(base)
             else:
-                kind = MatrixKind.ADE_M if method is Method.ADE else MatrixKind.REVDE_R
-                m = build_matrix(kind, f)
                 x1, x2, x3 = (members[idx[s, t]] for t in range(3))
-                trials.extend(apply_triplet_transform(m, x1, x2, x3))
-                parents.extend([x1, x2, x3])
+                if method is Method.ADE:
+                    trials += [x1 + f * (x2 - x3), x2 + f * (x3 - x1), x3 + f * (x1 - x2)]
+                else:
+                    trials += revde_recursion(x1, x2, x3, f)
+                parents += [x1, x2, x3]
         trials = np.array(trials)
         parents = np.array(parents)
         mask = rng.random(trials.shape) < p
@@ -317,7 +311,10 @@ class TestGenerationMechanics:
         assert np.array_equal(seen[0], members)
         manual = self._manual_offspring(members, method, f, p, rng, lo, hi)
         assert manual.shape == seen[1].shape
-        assert np.allclose(manual, seen[1], atol=1e-12, rtol=0)
+        if method.matrix_kind is None:
+            assert np.array_equal(manual, seen[1])
+        else:   # a 3x3 matrix product against the chained formulas
+            assert np.allclose(manual, seen[1], atol=1e-12, rtol=0)
 
 
 class TestRunRepeated:

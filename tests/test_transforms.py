@@ -3,21 +3,20 @@
 import numpy as np
 import pytest
 
+from conftest import revde_recursion
 from revde.transforms import (
     EigenReport,
     MatrixKind,
     Population,
     apply_triplet_transform,
+    binomial_crossover,
     build_matrix,
     de_mutation,
     determinant,
-    dex3_mutation,
     eigen_report,
     invert_triplet_transform,
     repair_bounds,
-    sample_crossover_mask,
     select_survivors,
-    uniform_crossover,
 )
 
 # 64 values spanning (0, 2] at spacing 1/32
@@ -26,12 +25,15 @@ F_GRID = np.arange(1, 65) / 32.0
 SPOT_FS = (0.125, 0.25, 0.375, 0.5, 0.6, 0.625, 0.675, 0.75)
 
 
-def revde_recursion(x1, x2, x3, f):
-    # literal on-the-fly substitution: each output feeds the next line
-    y1 = x1 + f * (x2 - x3)
-    y2 = x2 + f * (x3 - y1)
-    y3 = x3 + f * (y1 - y2)
-    return y1, y2, y3
+class FixedUniforms:
+    """Stands in for a Generator whose next uniform draws are known."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u
 
 
 class TestDeMutation:
@@ -55,6 +57,15 @@ class TestDeMutation:
         de_mutation(base, a, b, 0.9)
         assert np.array_equal(base, [1.0, 2.0])
         assert np.array_equal(a, [5.0, 5.0])
+        # large enough for numpy to reuse a temporary's buffer: the
+        # caller's arrays must still come back untouched
+        big = np.random.default_rng(0).normal(size=(3, 200, 100))
+        saved = big.copy()
+        de_mutation(big[0], big[1], big[2], 0.9)
+        a, b = big[1].copy(), big[2].copy()
+        de_mutation(big[0], a, b, 0.9)
+        assert np.array_equal(big, saved)
+        assert np.array_equal(a, saved[1]) and np.array_equal(b, saved[2])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -62,23 +73,19 @@ class TestDeMutation:
 
 
 class TestDex3Mutation:
+    """DEx3 is one de_mutation call: a (1, D) base against (3, D) pairs."""
+
     def test_f_zero_three_copies(self):
-        pairs = (([1.0], [0.0]), ([2.0], [0.0]), ([3.0], [0.0]))
-        outs = dex3_mutation([9.0], pairs, 0.0)
-        assert len(outs) == 3
-        for y in outs:
-            assert np.array_equal(y, [9.0])
+        outs = de_mutation([[9.0]], [[1.0], [2.0], [3.0]], [[0.0]] * 3, 0.0)
+        assert outs.shape == (3, 1)
+        assert np.array_equal(outs, [[9.0]] * 3)
 
     def test_unit_scaling_maps_pairs(self):
-        pairs = (([1.0], [0.0]), ([2.0], [0.0]), ([3.0], [0.0]))
-        y1, y2, y3 = dex3_mutation([0.0], pairs, 1.0)
-        assert np.array_equal(y1, [1.0])
-        assert np.array_equal(y2, [2.0])
-        assert np.array_equal(y3, [3.0])
+        outs = de_mutation([[0.0]], [[1.0], [2.0], [3.0]], [[0.0]] * 3, 1.0)
+        assert np.array_equal(outs, [[1.0], [2.0], [3.0]])
 
     def test_identical_pairs_identical_outputs(self):
-        pair = ([1.0, 2.0], [0.5, 0.5])
-        y1, y2, y3 = dex3_mutation([0.0, 0.0], (pair, pair, pair), 0.8)
+        y1, y2, y3 = de_mutation([[0.0, 0.0]], [[1.0, 2.0]] * 3, [[0.5, 0.5]] * 3, 0.8)
         assert np.array_equal(y1, y2)
         assert np.array_equal(y2, y3)
 
@@ -121,16 +128,15 @@ class TestBuildMatrix:
 class TestTripletTransform:
     def test_identity_passthrough(self):
         m = build_matrix(MatrixKind.ADE_M, 0.0)
-        x1, x2, x3 = np.array([1.0]), np.array([2.0]), np.array([3.0])
-        y1, y2, y3 = apply_triplet_transform(m, x1, x2, x3)
-        assert np.array_equal(y1, x1) and np.array_equal(y2, x2) and np.array_equal(y3, x3)
+        x = np.array([[1.0], [2.0], [3.0]])
+        assert np.array_equal(apply_triplet_transform(m, x), x)
 
     def test_ade_first_row_is_de_mutation(self):
         rng = np.random.default_rng(11)
         for f in (0.25, 0.5, 0.9):
             m = build_matrix(MatrixKind.ADE_M, f)
-            x1, x2, x3 = rng.normal(size=(3, 6))
-            y1, _, _ = apply_triplet_transform(m, x1, x2, x3)
+            x1, x2, x3 = x = rng.normal(size=(3, 6))
+            y1 = apply_triplet_transform(m, x)[0]
             assert np.allclose(y1, de_mutation(x1, x2, x3, f), atol=1e-12, rtol=0)
 
     def test_ade_rows_match_componentwise_equations(self):
@@ -138,8 +144,8 @@ class TestTripletTransform:
         rng = np.random.default_rng(7)
         f = 0.675
         m = build_matrix(MatrixKind.ADE_M, f)
-        x1, x2, x3 = rng.normal(size=(3, 10))
-        y1, y2, y3 = apply_triplet_transform(m, x1, x2, x3)
+        x1, x2, x3 = x = rng.normal(size=(3, 10))
+        y1, y2, y3 = apply_triplet_transform(m, x)
         assert np.allclose(y1, x1 + f * (x2 - x3), atol=1e-12, rtol=0)
         assert np.allclose(y2, x2 + f * (x3 - x1), atol=1e-12, rtol=0)
         assert np.allclose(y3, x3 + f * (x1 - x2), atol=1e-12, rtol=0)
@@ -149,12 +155,18 @@ class TestTripletTransform:
         rng = np.random.default_rng(dim)
         for f in (0.125, 0.5, 0.75, 2.0):
             m = build_matrix(MatrixKind.REVDE_R, f)
-            for _ in range(333):
-                x1, x2, x3 = rng.normal(scale=5.0, size=(3, dim))
-                got = apply_triplet_transform(m, x1, x2, x3)
-                want = revde_recursion(x1, x2, x3, f)
-                for g, w in zip(got, want):
-                    assert np.max(np.abs(g - w)) < 1e-12
+            x = rng.normal(scale=5.0, size=(333, 3, dim))   # 333 stacked triplets
+            got = apply_triplet_transform(m, x)
+            want = np.stack(revde_recursion(x[:, 0], x[:, 1], x[:, 2], f), axis=1)
+            assert got.shape == x.shape
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_rejects_unstacked_input(self):
+        m = build_matrix(MatrixKind.ADE_M, 0.5)
+        with pytest.raises(ValueError):
+            apply_triplet_transform(m, np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            invert_triplet_transform(m, np.zeros(3))
 
 
 class TestReversibility:
@@ -164,8 +176,7 @@ class TestReversibility:
         for f in (*F_GRID, *SPOT_FS):
             m = build_matrix(kind, f)
             x = rng.normal(scale=10.0, size=(3, 8))
-            y = apply_triplet_transform(m, x[0], x[1], x[2])
-            back = invert_triplet_transform(m, y[0], y[1], y[2])
+            back = invert_triplet_transform(m, apply_triplet_transform(m, x))
             for orig, rec in zip(x, back):
                 rel = np.max(np.abs(rec - orig)) / max(1.0, np.max(np.abs(orig)))
                 assert rel < 1e-9
@@ -173,37 +184,48 @@ class TestReversibility:
 
 class TestCrossover:
     def test_all_ones_takes_trial(self):
-        v = uniform_crossover([1.0, 2.0], [9.0, 9.0], np.array([True, True]))
+        v = binomial_crossover([1.0, 2.0], [9.0, 9.0], 0.5, FixedUniforms([0.1, 0.4]))
         assert np.array_equal(v, [1.0, 2.0])
 
     def test_all_zeros_takes_parent(self):
-        v = uniform_crossover([1.0, 2.0], [9.0, 9.0], np.array([False, False]))
+        v = binomial_crossover([1.0, 2.0], [9.0, 9.0], 0.5, FixedUniforms([0.5, 0.9]))
         assert np.array_equal(v, [9.0, 9.0])
 
     def test_elementwise_selection(self):
-        v = uniform_crossover([1.0, 2.0, 3.0], [9.0, 9.0, 9.0], np.array([1, 0, 1], bool))
+        v = binomial_crossover([1.0, 2.0, 3.0], [9.0, 9.0, 9.0], 0.5,
+                               FixedUniforms([0.1, 0.7, 0.3]))
         assert np.array_equal(v, [1.0, 9.0, 3.0])
 
     def test_idempotent_on_equal_vectors(self):
         x = np.array([4.0, -2.0, 0.5])
-        mask = np.array([True, False, True])
-        assert np.array_equal(uniform_crossover(x, x, mask), x)
+        assert np.array_equal(binomial_crossover(x, x, 0.5, np.random.default_rng(3)), x)
 
     def test_mask_sampler_rate_and_determinism(self):
         rng = np.random.default_rng(0)
-        mask = sample_crossover_mask(100_000, 0.9, rng)
-        assert mask.dtype == bool
-        assert abs(mask.mean() - 0.9) < 0.01
-        again = sample_crossover_mask(100_000, 0.9, np.random.default_rng(0))
-        assert np.array_equal(mask, again)
+        out = binomial_crossover(np.ones(100_000), np.zeros(100_000), 0.9, rng)
+        assert abs(out.mean() - 0.9) < 0.01
+        # the bits are exactly one rng.random(trials.shape) draw
+        mask = np.random.default_rng(0).random(100_000) < 0.9
+        assert np.array_equal(out, mask)
 
     def test_mask_rate_validation(self):
         rng = np.random.default_rng(0)
         for bad in (0.0, -0.1, 1.2):
             with pytest.raises(ValueError):
-                sample_crossover_mask(4, bad, rng)
-        # rate 1.0 is legal and forces all-ones
-        assert sample_crossover_mask(16, 1.0, rng).all()
+                binomial_crossover(np.ones(4), np.zeros(4), bad, rng)
+        # rate 1.0 is legal and takes every coordinate from the trial
+        assert binomial_crossover(np.ones(16), np.zeros(16), 1.0, rng).all()
+
+    def test_parents_broadcast_over_trials(self):
+        # one base per slot shared by its three trials, as DEx3 builds them
+        trials = np.arange(12.0).reshape(2, 3, 2)
+        parents = np.array([[[-1.0, -1.0]], [[-2.0, -2.0]]])
+        u = np.tile([0.1, 0.9], (2, 3, 1))
+        out = binomial_crossover(trials, parents, 0.5, FixedUniforms(u))
+        assert np.array_equal(out[..., 0], trials[..., 0])
+        assert np.array_equal(out[..., 1], [[-1.0] * 3, [-2.0] * 3])
+        with pytest.raises(ValueError):
+            binomial_crossover(np.zeros((1, 2)), np.zeros((3, 2)), 0.5, np.random.default_rng(0))
 
 
 class TestRepairBounds:
@@ -230,6 +252,8 @@ class TestRepairBounds:
         lo, hi = np.array([0.0, 0.0]), np.array([1.0, 1.0])
         out = repair_bounds(np.array([[2.0, -1.0], [0.5, 0.5]]), lo, hi)
         assert np.array_equal(out, [[1.0, 0.0], [0.5, 0.5]])
+        with pytest.raises(ValueError):
+            repair_bounds(np.zeros((2, 3)), lo, hi)
 
 
 class TestSelection:
