@@ -1,9 +1,11 @@
 """Optional numba acceleration for the hot numeric kernels.
 
-Every kernel in this package exists in two interchangeable forms: a plain
-implementation (numpy, or Python floats for the ODE stepper) and a numba
-``@njit``-compiled one.  Which form the package dispatches to is decided
-once, at import time:
+The benchmark kernels and the ODE stepper each exist in two
+interchangeable forms: a plain implementation (numpy, or Python floats
+for the ODE stepper) and a numba ``@njit``-compiled one.  The MLP error
+kernel has only its numpy form, since its cost is BLAS products that a
+compiled form would call the same way.  Which form the package
+dispatches to is decided once, at import time:
 
 * if numba is not installed, the plain form is used;
 * if the environment variable ``REVDE_DISABLE_NUMBA`` is set to ``1``,

@@ -272,13 +272,12 @@ def _sample_slot_indices(n: int, per_slot: int, rng: np.random.Generator) -> np.
     replace=False)``, at ``per_slot`` RNG calls per generation.
     """
     idx = np.empty((n, per_slot), dtype=np.int64)
-    taken = np.empty((n, 0), dtype=np.int64)
     for j in range(per_slot):
+        taken = np.sort(idx[:, :j], axis=1)
         r = rng.integers(0, n - j, size=n)
         for c in range(j):
             r += r >= taken[:, c]
         idx[:, j] = r
-        taken = np.sort(idx[:, : j + 1], axis=1)
     return idx
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import njit, select
 from .engine import BoxBounds, Objective
 
 __all__ = [
@@ -250,53 +249,24 @@ def forward(weights: np.ndarray, image: np.ndarray, shape: MlpShape = SHAPE) -> 
     return e / e.sum()
 
 
-# ----------------------------------------------------------------------
-# batch error kernels
-# ----------------------------------------------------------------------
-
-def _error_batch_numpy(weights_batch, images, labels, hidden_dim, output_dim):
-    k = weights_batch.shape[0]
-    split = images.shape[1] * hidden_dim
-    errors = np.empty(k)
-    for i in range(k):
-        w1 = weights_batch[i, :split].reshape(hidden_dim, images.shape[1])
-        w2 = weights_batch[i, split:].reshape(output_dim, hidden_dim)
-        h = np.maximum(images @ w1.T, 0.0)
-        logits = h @ w2.T
-        pred = np.argmax(logits, axis=1)
-        errors[i] = np.mean(pred != labels)
-    return errors
+# Hidden activations per chunk of candidates, in float64 values (2.56 MB):
+# 8 candidates at 2000 images.  Stacking candidates lets one BLAS product
+# read the images once for the chunk instead of once per candidate; the
+# cap keeps peak memory flat however many candidates a batch holds.
+_CHUNK_HIDDEN_VALUES = 320_000
 
 
-def _error_batch_loop(weights_batch, images, labels, hidden_dim, output_dim):
-    # matmuls still go through BLAS (np.dot); jit only buys the argmax loop
-    k = weights_batch.shape[0]
-    n, p = images.shape
-    split = p * hidden_dim
-    errors = np.empty(k)
-    for i in range(k):
-        w1t = np.ascontiguousarray(weights_batch[i, :split].reshape(hidden_dim, p).T)
-        w2t = np.ascontiguousarray(
-            weights_batch[i, split:].reshape(output_dim, hidden_dim).T
-        )
-        h = np.maximum(np.dot(images, w1t), 0.0)
-        logits = np.dot(h, w2t)
-        wrong = 0
-        for s in range(n):
-            best_c = 0
-            best_v = logits[s, 0]
-            for c in range(1, output_dim):
-                if logits[s, c] > best_v:   # strict: ties keep the lowest class
-                    best_v = logits[s, c]
-                    best_c = c
-            if best_c != labels[s]:
-                wrong += 1
-        errors[i] = wrong / n
-    return errors
-
-
-_error_batch_numba = njit(cache=True, nogil=True)(_error_batch_loop)
-_error_batch = select(_error_batch_numba, _error_batch_numpy)
+def _chunk_errors(weights_batch, dataset: ImageDataset, shape: MlpShape) -> np.ndarray:
+    c, n, h_dim = weights_batch.shape[0], dataset.count, shape.hidden_dim
+    split = shape.hidden_weights
+    # (c*H, P) @ (P, n): images.T goes to BLAS as a transposed view
+    h = weights_batch[:, :split].reshape(c * h_dim, shape.input_dim) @ dataset.images.T
+    np.maximum(h, 0.0, out=h)
+    # (c, n, H) @ (c, H, O): class-last logits, which argmax reads in place
+    w2t = weights_batch[:, split:].reshape(c, shape.output_dim, h_dim).transpose(0, 2, 1)
+    logits = h.reshape(c, h_dim, n).transpose(0, 2, 1) @ w2t
+    pred = logits.argmax(axis=2)               # ties keep the lowest class
+    return np.count_nonzero(pred != dataset.labels, axis=1) / n
 
 
 def classification_error(weights, dataset: ImageDataset, shape: MlpShape = SHAPE) -> float:
@@ -316,6 +286,11 @@ def classification_error(weights, dataset: ImageDataset, shape: MlpShape = SHAPE
 def classification_error_batch(
     weights_batch, dataset: ImageDataset, shape: MlpShape = SHAPE
 ) -> np.ndarray:
+    """:func:`classification_error` of each row of a (K, weights) batch.
+
+    Candidates are scored a chunk at a time, sized by
+    ``_CHUNK_HIDDEN_VALUES``, which bounds the memory a call takes.
+    """
     wb = np.ascontiguousarray(weights_batch, dtype=np.float64)
     if wb.ndim != 2 or wb.shape[1] != shape.total_weights:
         raise ValueError(
@@ -325,7 +300,12 @@ def classification_error_batch(
         raise ValueError(
             f"dataset rows have {dataset.pixels} pixels, the network expects {shape.input_dim}"
         )
-    return _error_batch(wb, dataset.images, dataset.labels, shape.hidden_dim, shape.output_dim)
+    k = wb.shape[0]
+    chunk = max(1, _CHUNK_HIDDEN_VALUES // (shape.hidden_dim * dataset.count))
+    errors = np.empty(k)
+    for i in range(0, k, chunk):
+        errors[i : i + chunk] = _chunk_errors(wb[i : i + chunk], dataset, shape)
+    return errors
 
 
 def prepare_dataset(

@@ -3,6 +3,7 @@
 import gzip
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,23 @@ class TestIdxFiles:
                               images.reshape(6, 784))
 
 
+def _reference_errors(weights_batch, dataset):
+    """Error per candidate from a forward pass per image, strict-> argmax."""
+    errors = []
+    for w in weights_batch:
+        w1, w2 = split_weights(w)
+        wrong = 0
+        for x, label in zip(dataset.images, dataset.labels):
+            logits = w2 @ np.maximum(w1 @ x, 0.0)
+            best = 0
+            for c in range(1, 10):
+                if logits[c] > logits[best]:   # ties keep the lowest class
+                    best = c
+            wrong += best != label
+        errors.append(wrong / dataset.count)
+    return errors
+
+
 class TestClassificationError:
     def test_zero_weights_predict_class_zero(self, synth_dataset):
         err = classification_error(np.zeros(4120), synth_dataset)
@@ -235,20 +253,53 @@ class TestClassificationError:
         scalar = [classification_error(w, synth_dataset) for w in wb]
         assert batch.tolist() == scalar
 
+    def test_empty_batch(self, synth_dataset):
+        assert classification_error_batch(np.zeros((0, 4120)), synth_dataset).shape == (0,)
+
     def test_error_bounds(self, synth_dataset):
         wb = np.random.default_rng(7).uniform(-1, 1, size=(3, 4120))
         vals = classification_error_batch(wb, synth_dataset)
         assert ((vals >= 0) & (vals <= 1)).all()
 
     def test_backend_kernels_agree(self, synth_dataset):
-        wb = np.random.default_rng(8).uniform(-1, 1, size=(3, 4120))
-        a = mlp._error_batch_numpy(
-            wb, synth_dataset.images, synth_dataset.labels, 20, 10
+        # the numpy kernel is the only form; it must match the reference
+        rng = np.random.default_rng(8)
+        for k in (3, 1):
+            wb = rng.uniform(-1, 1, size=(k, 4120))
+            assert classification_error_batch(wb, synth_dataset).tolist() == _reference_errors(
+                wb, synth_dataset
+            )
+
+    def test_chunks_and_remainder_match_reference(self, synth_dataset):
+        chunk = mlp._CHUNK_HIDDEN_VALUES // (SHAPE.hidden_dim * synth_dataset.count)
+        wb = np.random.default_rng(10).uniform(-1, 1, size=(2 * chunk + 3, 4120))
+        assert classification_error_batch(wb, synth_dataset).tolist() == _reference_errors(
+            wb, synth_dataset
         )
-        b = mlp._error_batch(
-            np.ascontiguousarray(wb), synth_dataset.images, synth_dataset.labels, 20, 10
-        )
-        assert np.array_equal(a, b)
+
+    def test_all_tied_logits_pick_class_zero(self, synth_dataset):
+        # zero weights, or a zero output layer: every logit is 0.0
+        wb = np.zeros((4, 4120))
+        wb[2:, :3920] = np.random.default_rng(12).uniform(-1, 1, size=(2, 3920))
+        expected = np.mean(synth_dataset.labels != 0)
+        assert classification_error_batch(wb, synth_dataset).tolist() == [expected] * 4
+        assert _reference_errors(wb, synth_dataset) == [expected] * 4
+
+    def test_peak_memory_bounded_by_chunk_budget(self):
+        rng = np.random.default_rng(13)
+        dataset = ImageDataset(rng.uniform(0, 1, size=(2000, 196)), rng.integers(0, 10, 2000))
+        wb = rng.uniform(-1, 1, size=(150, 4120))
+        # one chunk at a time: its hidden activations (the budget, 8 bytes
+        # each), half as many logits, per-image class arrays.  One product
+        # over all 150 candidates would hold 48 MB of hidden activations.
+        bound = 2 * 8 * mlp._CHUNK_HIDDEN_VALUES
+        tracemalloc.start()
+        try:
+            classification_error_batch(wb, dataset)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_validation(self, synth_dataset):
         with pytest.raises(ValueError):
