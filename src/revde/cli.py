@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -109,98 +109,101 @@ def _cast_pair(raw) -> tuple:
     return (lo, hi)
 
 
+# range checks: (predicate on the cast value, what it asks for)
+def _at_least(low):
+    return (lambda v: v >= low, f">= {low}")
+
+
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "positive and finite")
+_NON_NEGATIVE = (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+_FINITE_PAIR = (lambda v: all(map(math.isfinite, v)), "finite")
+
+
+def _key(default, cast, help, *, key=None, check=None):
+    """A config key: the field's default, the caster that reads its text
+    from a config file or flag, its help text, and an optional range
+    check.  ``key`` is given where it differs from the field name."""
+    metadata = {"cast": cast, "help": help, "check": check}
+    if key is not None:
+        metadata["key"] = key
+    return field(default=default, metadata=metadata)
+
+
+def _bounds_key(default, name):
+    return _key(default, _cast_pair, f"search range 'low,high' for {name}",
+                check=_FINITE_PAIR)
+
+
 @dataclass
 class ExperimentConfig:
-    problem: str = ""
-    methods: tuple = METHOD_ORDER
-    population_size: int = 500
-    generations: int = 150
-    f: float = 0.5
-    crossover_rate: float = 0.9
-    seed: int = 0
-    repeats: int = 10
-    output_dir: str = "revde-output"
-    budget_match: bool = True
+    """Every ``revde run`` setting; each field is one config key and one flag."""
+
+    problem: str = _key("", str.strip, f"one of {', '.join(PROBLEMS + BENCHMARK_NAMES)}; "
+                         "a benchmark name implies problem = benchmark")
+    methods: tuple = _key(METHOD_ORDER, _cast_methods, "comma list of de,dex3,ade,revde or 'all'")
+    population_size: int = _key(500, _cast_int, "population size", key="n", check=_at_least(4))
+    generations: int = _key(150, _cast_int, "generations", check=_at_least(1))
+    f: float = _key(0.5, _cast_float, "scaling factor F", check=_POSITIVE)
+    crossover_rate: float = _key(0.9, _cast_float, "crossover rate", key="p",
+                                 check=(lambda v: 0 < v <= 1, "in (0, 1]"))
+    seed: int = _key(0, _cast_int, "base seed; repeat r uses seed + r", check=_at_least(0))
+    repeats: int = _key(10, _cast_int, "independent repeats", check=_at_least(1))
+    output_dir: str = _key("revde-output", str.strip, "output directory")
+    budget_match: bool = _key(True, _cast_bool,
+                              "triple DE's generation count beside a triplet method")
     # benchmark
-    benchmark: str = ""
-    dim: int = 10
-    griewank_standard: bool = False
+    benchmark: str = _key("", str.strip, "benchmark function name")
+    dim: int = _key(10, _cast_int, "benchmark dimensionality", check=_at_least(1))
+    griewank_standard: bool = _key(False, _cast_bool,
+                                   "use the conventional quadratic Griewank sum term")
     # repressilator
-    noise_std: float = 5.0
-    obs_end: float = 40.0
-    obs_count: int = 40
-    observations: str = ""
-    alpha0_bounds: tuple = (0.01, 10.0)
-    n_bounds: tuple = (0.1, 10.0)
-    beta_bounds: tuple = (0.1, 20.0)
-    alpha_bounds: tuple = (1.0, 2000.0)
+    noise_std: float = _key(5.0, _cast_float, "observation noise std", check=_NON_NEGATIVE)
+    obs_end: float = _key(40.0, _cast_float, "last observation time", check=_POSITIVE)
+    obs_count: int = _key(40, _cast_int, "number of observation times", check=_at_least(1))
+    observations: str = _key("", str.strip, "load observations from CSV (t,m1,m2,m3)")
+    alpha0_bounds: tuple = _bounds_key((0.01, 10.0), "alpha0")
+    n_bounds: tuple = _bounds_key((0.1, 10.0), "n")
+    beta_bounds: tuple = _bounds_key((0.1, 20.0), "beta")
+    alpha_bounds: tuple = _bounds_key((1.0, 2000.0), "alpha")
     # mlp
-    train_images: str = ""
-    train_labels: str = ""
-    test_images: str = ""
-    test_labels: str = ""
-    train_size: int = 2000
-    shuffle_seed: int = -1          # -1 = keep file order
+    train_images: str = _key("", str.strip, "training images (IDX, gzip allowed)")
+    train_labels: str = _key("", str.strip, "training labels (IDX, gzip allowed)")
+    test_images: str = _key("", str.strip, "held-out images (IDX, gzip allowed)")
+    test_labels: str = _key("", str.strip, "held-out labels (IDX, gzip allowed)")
+    train_size: int = _key(2000, _cast_int, "training images used", check=_at_least(1))
+    shuffle_seed: int = _key(-1, _cast_int, "training-set shuffle seed; -1 keeps file order")
 
 
-# key -> caster; every config-file key and its flag twin go through these
-_CASTERS = {
-    "problem": str.strip,
-    "methods": _cast_methods,
-    "n": _cast_int,
-    "generations": _cast_int,
-    "f": _cast_float,
-    "p": _cast_float,
-    "seed": _cast_int,
-    "repeats": _cast_int,
-    "output_dir": str.strip,
-    "budget_match": _cast_bool,
-    "benchmark": str.strip,
-    "dim": _cast_int,
-    "griewank_standard": _cast_bool,
-    "noise_std": _cast_float,
-    "obs_end": _cast_float,
-    "obs_count": _cast_int,
-    "observations": str.strip,
-    "alpha0_bounds": _cast_pair,
-    "n_bounds": _cast_pair,
-    "beta_bounds": _cast_pair,
-    "alpha_bounds": _cast_pair,
-    "train_images": str.strip,
-    "train_labels": str.strip,
-    "test_images": str.strip,
-    "test_labels": str.strip,
-    "train_size": _cast_int,
-    "shuffle_seed": _cast_int,
-}
-
-# config keys whose dataclass field is named differently
-_FIELD_NAMES = {"n": "population_size", "p": "crossover_rate"}
+# config key -> field, in field order
+_FIELDS = {spec.metadata.get("key", spec.name): spec for spec in fields(ExperimentConfig)}
 
 
 def _read_config_file(path) -> dict:
     raw = {}
     seen_lines = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
-            key, _, value = text.partition("=")
-            key = key.strip().lower()
-            value = value.strip()
-            if key not in _CASTERS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in raw:
-                raise ConfigError(
-                    f"{path}:{lineno}: duplicate key {key!r} (first set on line {seen_lines[key]})"
-                )
-            if not value:
-                raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
-            raw[key] = (value, f"{path}:{lineno}")
-            seen_lines[key] = lineno
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for lineno, line in enumerate(data.splitlines(), start=1):
+        try:
+            text = line.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{path}:{lineno}: not valid UTF-8 (byte {exc.start + 1} of the line)"
+            ) from None
+        if not text or text.startswith("#"):
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
+        key, _, value = text.partition("=")
+        key = key.strip().lower()
+        if key not in _FIELDS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ConfigError(
+                f"{path}:{lineno}: duplicate key {key!r} (first set on line {seen_lines[key]})"
+            )
+        raw[key] = (value.strip(), f"{path}:{lineno}")
+        seen_lines[key] = lineno
     return raw
 
 
@@ -216,17 +219,29 @@ def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
 
     config = ExperimentConfig()
     for key, (value, where) in merged.items():
+        if isinstance(value, str) and not value.strip():
+            raise ConfigError(f"{where}: empty value for {key!r}")
+        spec = _FIELDS[key]
         try:
-            cast = _CASTERS[key](value)
+            cast = spec.metadata["cast"](value)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        setattr(config, _FIELD_NAMES.get(key, key), cast)
+        check = spec.metadata["check"]
+        if check is not None and not check[0](cast):
+            raise ConfigError(f"{where}: {spec.name} must be {check[1]}, got {value}")
+        setattr(config, spec.name, cast)
 
-    _validate(config)
+    _validate(config, {key: where for key, (_, where) in merged.items()})
     return config
 
 
-def _validate(config: ExperimentConfig) -> None:
+def _validate(config: ExperimentConfig, sources: dict) -> None:
+    """Checks that span keys; ``sources`` maps each key set to where it was set."""
+
+    def invalid(key, message):
+        where = sources.get(key)
+        return ConfigError(f"{where}: {message}" if where else message)
+
     if not config.problem:
         raise ConfigError("missing required key 'problem' (config file or --problem)")
     problem = config.problem.lower()
@@ -235,45 +250,26 @@ def _validate(config: ExperimentConfig) -> None:
         config.benchmark = problem
         problem = "benchmark"
     if problem not in PROBLEMS:
-        raise ConfigError(
-            f"unknown problem {config.problem!r}; expected one of "
-            f"{', '.join(PROBLEMS)} or a benchmark name"
-        )
+        raise invalid("problem", f"unknown problem {config.problem!r}; expected one of "
+                                 f"{', '.join(PROBLEMS)} or a benchmark name")
     config.problem = problem
-    if isinstance(config.methods, str):
-        config.methods = _cast_methods(config.methods)
 
     for method in config.methods:
         try:
             _run_config(config, method)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    if config.repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {config.repeats}")
+            # the per-key checks leave only dex3's population floor
+            raise invalid("n" if "n" in sources else "methods", str(exc)) from None
 
     if problem == "benchmark":
         if not config.benchmark:
-            raise ConfigError("benchmark problem needs 'benchmark = <name>' or --benchmark")
+            raise invalid("problem", "benchmark problem needs 'benchmark = <name>' or --benchmark")
         if config.benchmark.lower() not in BENCHMARK_NAMES:
-            raise ConfigError(
-                f"unknown benchmark {config.benchmark!r}; expected one of "
-                f"{', '.join(BENCHMARK_NAMES)}"
-            )
+            raise invalid("benchmark", f"unknown benchmark {config.benchmark!r}; expected "
+                                       f"one of {', '.join(BENCHMARK_NAMES)}")
         config.benchmark = config.benchmark.lower()
-        if config.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {config.dim}")
-    elif problem == "repressilator":
-        if config.noise_std < 0:
-            raise ConfigError(f"noise_std must be >= 0, got {config.noise_std}")
-        if config.obs_count < 1:
-            raise ConfigError(f"obs_count must be >= 1, got {config.obs_count}")
-        if config.obs_end <= 0:
-            raise ConfigError(f"obs_end must be positive, got {config.obs_end}")
-    elif problem == "mlp":
-        if not config.train_images or not config.train_labels:
-            raise ConfigError("mlp problem needs --train-images and --train-labels")
-        if config.train_size < 1:
-            raise ConfigError(f"train_size must be >= 1, got {config.train_size}")
+    elif problem == "mlp" and not (config.train_images and config.train_labels):
+        raise invalid("problem", "mlp problem needs --train-images and --train-labels")
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +336,12 @@ def _jsonable(value):
     if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
     return value
+
+
+def _show(value) -> str:
+    """A default as it would be written in a config file."""
+    value = _jsonable(value)
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
@@ -504,41 +506,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment from a config file")
     run_p.add_argument("config", help="flat key=value config file (may be empty)")
-    run_p.add_argument("--problem", choices=PROBLEMS + BENCHMARK_NAMES)
-    run_p.add_argument("--methods", help="comma list of de,dex3,ade,revde or 'all'")
-    run_p.add_argument("--n", type=int, help="population size (default 500)")
-    run_p.add_argument("--generations", type=int, help="generations (default 150)")
-    run_p.add_argument("--f", type=float, help="scaling factor F (default 0.5)")
-    run_p.add_argument("--p", type=float, help="crossover rate (default 0.9)")
-    run_p.add_argument("--seed", type=int, help="base seed (default 0)")
-    run_p.add_argument("--repeats", type=int, help="independent repeats (default 10)")
-    run_p.add_argument("--output-dir", dest="output_dir")
-    run_p.add_argument(
-        "--no-budget-match",
-        dest="budget_match",
-        action="store_const",
-        const="false",
-        help="do not triple DE's generation count",
-    )
-    run_p.add_argument("--benchmark", help="benchmark function name")
-    run_p.add_argument("--dim", type=int, help="benchmark dimensionality (default 10)")
-    run_p.add_argument(
-        "--griewank-standard",
-        dest="griewank_standard",
-        action="store_const",
-        const="true",
-        help="use the conventional quadratic Griewank sum term",
-    )
-    run_p.add_argument("--noise-std", dest="noise_std", type=float)
-    run_p.add_argument("--obs-end", dest="obs_end", type=float)
-    run_p.add_argument("--obs-count", dest="obs_count", type=int)
-    run_p.add_argument("--observations", help="load observations from CSV (t,m1,m2,m3)")
-    run_p.add_argument("--train-images", dest="train_images")
-    run_p.add_argument("--train-labels", dest="train_labels")
-    run_p.add_argument("--test-images", dest="test_images")
-    run_p.add_argument("--test-labels", dest="test_labels")
-    run_p.add_argument("--train-size", dest="train_size", type=int)
-    run_p.add_argument("--shuffle-seed", dest="shuffle_seed", type=int)
+    for key, spec in _FIELDS.items():
+        name, default, text = key.replace("_", "-"), spec.default, spec.metadata["help"]
+        if isinstance(default, bool):
+            # the flag flips the default; its value goes through the key's caster
+            run_p.add_argument(f"--no-{name}" if default else f"--{name}", dest=key,
+                               action="store_const", const=str(not default).lower(),
+                               help=f"turn {'off' if default else 'on'} {key}: {text}")
+        else:
+            shown = _show(default)
+            run_p.add_argument(f"--{name}", dest=key,
+                               help=f"{text} (default {shown})" if shown else text)
 
     an_p = sub.add_parser("analyze", help="emit the eigenvalue/determinant table")
     an_p.add_argument("--f-max", dest="f_max", type=float, default=2.0)
@@ -561,8 +539,7 @@ def main(argv=None) -> int:
         _write_eigen_csv(args.out, args.f_max, args.f_step)
         return 0
 
-    # every run flag is named after its config key
-    overrides = {key: value for key, value in vars(args).items() if key in _CASTERS}
+    overrides = {key: value for key, value in vars(args).items() if key in _FIELDS}
     try:
         config = parse_config(args.config, overrides)
     except (ConfigError, OSError) as exc:

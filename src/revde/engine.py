@@ -2,19 +2,15 @@
 
 The engine owns all randomness (a numpy Generator seeded from the run
 config), batches offspring construction per generation, and records a
-best-so-far trace entry for every single objective evaluation.  Objective
-evaluations can be spread over a thread pool, capped by the
-``REVDE_THREADS`` environment variable (unset/empty = serial, 0 = one
-thread per CPU); results are stitched back in submission order so the
-trace never depends on scheduling.
+best-so-far trace entry for every single objective evaluation.  Each
+batch goes to the evaluator in one serial call; the MLP objective's
+matrix products run on BLAS threads.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -40,16 +36,12 @@ __all__ = [
     "RunConfig",
     "RunTrace",
     "RunSummary",
-    "THREADS_ENV",
-    "resolve_threads",
     "initialize_population",
     "run",
     "run_repeated",
     "write_trace_csv",
     "write_summary_csv",
 ]
-
-THREADS_ENV = "REVDE_THREADS"
 
 
 class Method(Enum):
@@ -88,23 +80,6 @@ class Method(Enum):
         return 7 if self is Method.DEX3 else 3
 
 
-def resolve_threads(value: Optional[str] = None) -> int:
-    """Translate REVDE_THREADS (or an explicit override) into a pool size."""
-    raw = os.environ.get(THREADS_ENV, "") if value is None else str(value)
-    raw = raw.strip()
-    if not raw:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if threads < 0:
-        raise ValueError(f"{THREADS_ENV} must be >= 0, got {threads}")
-    if threads == 0:
-        return os.cpu_count() or 1
-    return threads
-
-
 @dataclass(frozen=True)
 class BoxBounds:
     """Per-coordinate search box, lower_d < upper_d everywhere."""
@@ -141,7 +116,8 @@ class Objective:
     Wraps a batch evaluator ``fn(X: (K, D)) -> (K,)``.  Counts every
     candidate evaluation, maps NaN scores to +inf (flagged in
     ``nan_evaluations``) so a failing simulator region loses selection
-    instead of crashing the run.
+    instead of crashing the run.  ``batch_fn`` is looked up on every
+    call, so it may be replaced after construction (timing wrappers do).
     """
 
     def __init__(
@@ -149,12 +125,10 @@ class Objective:
         batch_fn: Callable[[np.ndarray], np.ndarray],
         bounds: BoxBounds,
         name: str = "objective",
-        threads: Optional[int] = None,
     ):
         self.batch_fn = batch_fn
         self.bounds = bounds
         self.name = name
-        self.threads = resolve_threads(None if threads is None else threads)
         self.evaluation_counter = 0
         self.nan_evaluations = 0
 
@@ -167,13 +141,7 @@ class Objective:
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ValueError(f"expected a (K, {self.dim}) batch, got shape {x.shape}")
         k = x.shape[0]
-        if self.threads > 1 and k >= 2 * self.threads:
-            chunks = np.array_split(x, self.threads)
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                parts = list(pool.map(self.batch_fn, chunks))
-            values = np.concatenate([np.asarray(p, dtype=np.float64).ravel() for p in parts])
-        else:
-            values = np.asarray(self.batch_fn(x), dtype=np.float64).ravel()
+        values = np.asarray(self.batch_fn(x), dtype=np.float64).ravel()
         if values.shape != (k,):
             raise ValueError(
                 f"evaluator returned shape {values.shape} for a batch of {k} candidates"

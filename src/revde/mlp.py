@@ -339,7 +339,6 @@ def prepare_dataset(
 def make_error_objective(
     dataset: ImageDataset,
     bounds: BoxBounds = DEFAULT_WEIGHT_BOUNDS,
-    threads=None,
 ) -> Objective:
     """Engine-facing objective: candidate weights -> training error."""
     if dataset.pixels != SHAPE.input_dim:
@@ -348,4 +347,4 @@ def make_error_objective(
     def batch(x: np.ndarray) -> np.ndarray:
         return classification_error_batch(x, dataset)
 
-    return Objective(batch, bounds, name="mlp_error", threads=threads)
+    return Objective(batch, bounds, name="mlp_error")

@@ -438,7 +438,6 @@ def make_fit_objective(
     obs: ObservationSet,
     initial=None,
     bounds: BoxBounds = DEFAULT_PARAM_BOUNDS,
-    threads=None,
 ) -> Objective:
     """Engine-facing batch objective over (alpha0, n, beta, alpha)."""
     y0 = _initial_state(initial)
@@ -451,7 +450,7 @@ def make_fit_objective(
             for a0, hn, bb, aa in x.tolist()
         ])
 
-    return Objective(batch, bounds, name="repressilator", threads=threads)
+    return Objective(batch, bounds, name="repressilator")
 
 
 # ----------------------------------------------------------------------

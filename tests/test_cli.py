@@ -3,10 +3,14 @@
 import csv
 import json
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from revde import cli
 from revde.cli import ConfigError, ExperimentConfig, main, parse_config
 from revde.engine import Method
 
@@ -140,6 +144,142 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="low < high"):
             parse_config(bad)
 
+    def test_invalid_utf8_reports_line(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"problem = rastrigin\nn = \xff\n")
+        with pytest.raises(ConfigError, match=r"exp\.cfg:2: not valid UTF-8"):
+            parse_config(path)
+        assert run_cli("run", path) == 1
+        assert "exp.cfg:2: not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_std_rejected(self, tmp_path, value):
+        path = write_config(tmp_path, f"problem = repressilator\nnoise_std = {value}\n")
+        with pytest.raises(ConfigError, match=r":2: noise_std must be finite"):
+            parse_config(path)
+
+    def test_non_finite_obs_end_rejected(self, tmp_path):
+        path = write_config(tmp_path, "problem = repressilator\nobs_end = nan\n")
+        with pytest.raises(ConfigError, match=r":2: obs_end must be positive and finite"):
+            parse_config(path)
+
+    def test_non_finite_bounds_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "problem = repressilator\nalpha0_bounds = -inf,inf\n")
+        with pytest.raises(ConfigError, match=r":2: alpha0_bounds must be finite"):
+            parse_config(cfg)
+        outdir = tmp_path / "out"
+        assert run_cli("run", cfg, "--output-dir", outdir) == 1
+        assert not outdir.exists()      # rejected before observations.csv is written
+
+    def test_negative_seed_rejected(self, tmp_path):
+        path = write_config(tmp_path, "problem = rastrigin\nseed = -1\n")
+        with pytest.raises(ConfigError, match=r":2: seed must be >= 0"):
+            parse_config(path)
+
+
+# one non-default value per config key, valid on top of FUZZ_BASE
+KEY_VALUES = {
+    "problem": ("repressilator", "repressilator"),
+    "methods": ("revde,de", (Method.REVDE, Method.DE)),
+    "n": ("16", 16),
+    "generations": ("7", 7),
+    "f": ("0.7", 0.7),
+    "p": ("0.3", 0.3),
+    "seed": ("5", 5),
+    "repeats": ("2", 2),
+    "output_dir": ("elsewhere", "elsewhere"),
+    "budget_match": ("false", False),
+    "benchmark": ("schwefel", "schwefel"),
+    "dim": ("3", 3),
+    "griewank_standard": ("true", True),
+    "noise_std": ("1.5", 1.5),
+    "obs_end": ("12", 12.0),
+    "obs_count": ("9", 9),
+    "observations": ("obs.csv", "obs.csv"),
+    "alpha0_bounds": ("1,2", (1.0, 2.0)),
+    "n_bounds": ("1,3", (1.0, 3.0)),
+    "beta_bounds": ("1,4", (1.0, 4.0)),
+    "alpha_bounds": ("1,5", (1.0, 5.0)),
+    "train_images": ("ti", "ti"),
+    "train_labels": ("tl", "tl"),
+    "test_images": ("si", "si"),
+    "test_labels": ("sl", "sl"),
+    "train_size": ("30", 30),
+    "shuffle_seed": ("4", 4),
+}
+FIELD_OF = {"n": "population_size", "p": "crossover_rate"}
+FUZZ_BASE = {"problem": "benchmark", "benchmark": "rastrigin"}
+
+
+def flag_argv(key, text):
+    """The `revde run` arguments that set ``key`` to ``text``."""
+    name = key.replace("_", "-")
+    if text in ("true", "false"):
+        return [f"--{name}" if text == "true" else f"--no-{name}"]
+    return [f"--{name}", text]
+
+
+def base_with(key, text):
+    """FUZZ_BASE with ``key`` set, as config lines; the key's line number."""
+    entries = dict(FUZZ_BASE, **{key: text})
+    lines = [f"{k} = {v}" for k, v in entries.items()]
+    return "\n".join(lines) + "\n", list(entries).index(key) + 1
+
+
+class TestKeyTable:
+    def test_every_field_has_one_key_and_one_flag(self, tmp_path, capsys, monkeypatch):
+        assert {FIELD_OF.get(k, k) for k in KEY_VALUES} == {
+            spec.name for spec in fields(ExperimentConfig)}
+        assert len(KEY_VALUES) == len(fields(ExperimentConfig)) == 27
+
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) - {"--help"}
+        assert listed == {flag_argv(k, text)[0] for k, (text, _) in KEY_VALUES.items()}
+
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment", lambda config: seen.append(config) or 0)
+        base = write_config(tmp_path, base_with("benchmark", "rastrigin")[0])
+        unset = parse_config(base)
+        for key, (text, expected) in KEY_VALUES.items():
+            from_file = parse_config(write_config(tmp_path, base_with(key, text)[0], name="k.cfg"))
+            assert run_cli("run", base, *flag_argv(key, text)) == 0
+            from_flag = seen.pop()
+            for config in (from_file, from_flag):
+                changed = [spec.name for spec in fields(config)
+                           if getattr(config, spec.name) != getattr(unset, spec.name)]
+                assert changed == [FIELD_OF.get(key, key)], key
+                assert getattr(config, changed[0]) == expected, key
+
+    def test_bad_flag_value_names_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "problem = rastrigin\n")
+        assert run_cli("run", cfg, "--n", "abc") == 1
+        assert capsys.readouterr().err.startswith("error: flag --n: expected an integer")
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(key=st.sampled_from(sorted(KEY_VALUES)),
+           text=st.one_of(
+               st.text(st.characters(blacklist_characters="\r\n"), max_size=12),
+               st.sampled_from(["nan", "inf", "-inf", "-1", "0", "5", "1e400", "dex3",
+                                "de,de", "mlp", "benchmark", "1,nan", "-inf,inf", " "]),
+           ))
+    def test_config_fuzz(self, tmp_path_factory, key, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        body, line = base_with(key, text)
+        path.write_text(body, encoding="utf-8")
+        try:
+            parse_config(path)
+        except ConfigError as exc:
+            assert str(exc).startswith(f"{path}:{line}: "), str(exc)
+
+        base = path.with_name("fuzz_base.cfg")
+        base.write_text(base_with("problem", FUZZ_BASE["problem"])[0])
+        try:
+            parse_config(base, {key: text})
+        except ConfigError as exc:
+            assert str(exc).startswith(f"flag --{key.replace('_', '-')}: "), str(exc)
+
 
 class TestAnalyze:
     def test_default_table(self, tmp_path):
@@ -269,16 +409,6 @@ class TestRunBenchmark:
         for name in ("trace_de.csv", "trace_dex3.csv", "trace_ade.csv",
                       "trace_revde.csv", "summary.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
-
-    def test_thread_count_does_not_change_results(self, tmp_path, bench_cfg,
-                                                  monkeypatch):
-        serial, threaded = tmp_path / "serial", tmp_path / "threaded"
-        monkeypatch.delenv("REVDE_THREADS", raising=False)
-        run_cli("run", bench_cfg, "--output-dir", serial)
-        monkeypatch.setenv("REVDE_THREADS", "2")
-        run_cli("run", bench_cfg, "--output-dir", threaded)
-        for name in ("trace_de.csv", "summary.csv"):
-            assert (serial / name).read_bytes() == (threaded / name).read_bytes()
 
 
 class TestRunRepressilator:

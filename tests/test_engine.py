@@ -1,4 +1,4 @@
-"""Engine loop: accounting, determinism, seeding, traces, threading."""
+"""Engine loop: accounting, determinism, seeding, traces."""
 
 from itertools import permutations
 
@@ -15,7 +15,6 @@ from revde.engine import (
     Objective,
     RunConfig,
     initialize_population,
-    resolve_threads,
     run,
     run_repeated,
     write_summary_csv,
@@ -70,25 +69,11 @@ class TestObjective:
         with pytest.raises(ValueError):
             obj.evaluate(np.zeros((2, 4)))
 
-    def test_threaded_matches_serial(self, bounds):
-        serial = Objective(sphere_batch, bounds, threads=1)
-        threaded = Objective(sphere_batch, bounds, threads=3)
-        x = np.random.default_rng(0).normal(size=(64, 3))
-        assert np.array_equal(serial.evaluate(x), threaded.evaluate(x))
-
-    def test_resolve_threads(self, monkeypatch):
-        monkeypatch.delenv("REVDE_THREADS", raising=False)
-        assert resolve_threads() == 1
-        monkeypatch.setenv("REVDE_THREADS", "5")
-        assert resolve_threads() == 5
-        monkeypatch.setenv("REVDE_THREADS", "0")
-        assert resolve_threads() >= 1
-        monkeypatch.setenv("REVDE_THREADS", "-2")
-        with pytest.raises(ValueError):
-            resolve_threads()
-        monkeypatch.setenv("REVDE_THREADS", "abc")
-        with pytest.raises(ValueError):
-            resolve_threads()
+    def test_batch_fn_read_at_call_time(self, bounds):
+        # timing wrappers replace batch_fn after construction
+        obj = Objective(sphere_batch, bounds)
+        obj.batch_fn = lambda x: -sphere_batch(x)
+        assert obj.evaluate(np.ones((2, 3))).tolist() == [-3.0, -3.0]
 
 
 class TestRunConfig:
