@@ -1,22 +1,17 @@
 #!/usr/bin/env python3
-"""Time the hot kernels under both backends (numba jit vs plain numpy).
+"""Time the hot kernels of revde.
 
 Usage:
     python3 bench/compare_backends.py [--repeats N]
 
-The script re-executes itself once per backend (the dispatch decision is
-made at import time from REVDE_DISABLE_NUMBA, so it cannot be toggled
-within a single process) and prints a side-by-side table.  Timings are
-the best of ``--repeats`` calls, after one untimed warmup call that also
-absorbs jit compilation.
+Prints one row per kernel with the best of ``--repeats`` calls, after
+one untimed warm-up call.  ``run_worker`` returns the same figures as a
+dict, for callers that load this file as a module.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -31,7 +26,7 @@ WORKLOADS = (
 
 
 def best_of(fn, repeats: int) -> float:
-    fn()   # warmup / compile
+    fn()   # warm-up
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -85,51 +80,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=20,
                         help="timed calls per kernel (default 20)")
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
-    if args.worker:
-        print(json.dumps(run_worker(args.repeats)))
-        return 0
-
-    results = {}
-    for disable in (False, True):
-        env = dict(os.environ)
-        env.pop("REVDE_DISABLE_NUMBA", None)
-        if disable:
-            env["REVDE_DISABLE_NUMBA"] = "1"
-        proc = subprocess.run(
-            [sys.executable, __file__, "--worker", "--repeats", str(args.repeats)],
-            env=env, capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stderr)
-            return proc.returncode
-        payload = json.loads(proc.stdout)
-        results[payload["backend"]] = payload["timings"]
-
-    if set(results) == {"numpy"}:
-        print("numba unavailable; numpy timings only\n")
-
-    backends = [b for b in ("numba", "numpy") if b in results]
+    timings = run_worker(args.repeats)["timings"]
     width = max(len(name) for name in WORKLOADS)
-    header = f"{'kernel':<{width}}" + "".join(f"{b:>12}" for b in backends)
-    if len(backends) == 2:
-        header += f"{'speedup':>10}"
+    header = f"{'kernel':<{width}}{'best':>12}"
     print(header)
     print("-" * len(header))
     for name in WORKLOADS:
-        row = f"{name:<{width}}"
-        for b in backends:
-            row += f"{results[b][name] * 1e3:>10.3f}ms"
-        if len(backends) == 2:
-            row += f"{results['numpy'][name] / results['numba'][name]:>9.1f}x"
-        print(row)
+        print(f"{name:<{width}}{timings[name] * 1e3:>10.3f}ms")
     return 0
 
 
 if __name__ == "__main__":
     # run from a checkout: import revde from the repository's src/
-    # (the --worker child runs this same file, so it gets the path too)
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     sys.exit(main())

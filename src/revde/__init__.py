@@ -1,6 +1,5 @@
 """Differential evolution with reversible linear population transforms."""
 
-from ._accel import NUMBA_ACTIVE, backend_name
 from .transforms import (
     EigenReport,
     MatrixKind,
@@ -19,9 +18,14 @@ from .transforms import (
 
 __version__ = "0.1.0"
 
+
+def backend_name() -> str:
+    """The kernel backend: every kernel is numpy or Python-float code."""
+    return "numpy"
+
+
 __all__ = [
     "__version__",
-    "NUMBA_ACTIVE",
     "backend_name",
     "MatrixKind",
     "TransformMatrix",

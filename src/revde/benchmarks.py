@@ -2,9 +2,8 @@
 
 Each function is one population-batch kernel (``rastrigin_batch(X)``,
 ``(K, D) -> (K,)``), the one the optimization loop calls; a single point
-is a one-row batch, as :meth:`BenchmarkSpec.evaluate` does.  The kernels
-are numba-compiled when numba is available, with a vectorized numpy form
-otherwise (see :mod:`revde._accel`).
+is a one-row batch, as :meth:`BenchmarkSpec.evaluate` does.  Each kernel
+is one vectorized numpy expression over the whole batch.
 
 Note on Griewank: the sum term here is ``sqrt(x_d^2 / 4000)``, i.e.
 ``|x_d| / sqrt(4000)``, not the more common ``x_d^2 / 4000``.  Pass
@@ -17,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._accel import njit, select
 
 __all__ = [
     "BenchmarkSpec",
@@ -51,10 +48,11 @@ def _as_batch(x) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# batch kernels: numpy form and numba form
+# batch kernels
 # ----------------------------------------------------------------------
 
-def _griewank_batch_numpy(x: np.ndarray, standard: bool) -> np.ndarray:
+def griewank_batch(x, standard: bool = False) -> np.ndarray:
+    x = _as_batch(x)
     if standard:
         s = np.sum(x * x / 4000.0, axis=1)
     else:
@@ -63,97 +61,20 @@ def _griewank_batch_numpy(x: np.ndarray, standard: bool) -> np.ndarray:
     return 1.0 + s - np.prod(np.cos(x / np.sqrt(d)), axis=1)
 
 
-def _griewank_batch_loop(x: np.ndarray, standard: bool) -> np.ndarray:
-    k, d = x.shape
-    out = np.empty(k)
-    for i in range(k):
-        s = 0.0
-        p = 1.0
-        for j in range(d):
-            v = x[i, j]
-            if standard:
-                s += v * v / 4000.0
-            else:
-                s += np.sqrt(v * v / 4000.0)
-            p *= np.cos(v / np.sqrt(j + 1.0))
-        out[i] = 1.0 + s - p
-    return out
-
-
-def _rastrigin_batch_numpy(x: np.ndarray) -> np.ndarray:
+def rastrigin_batch(x) -> np.ndarray:
+    x = _as_batch(x)
     return 10.0 * x.shape[1] + np.sum(x * x - 10.0 * np.cos(_TWO_PI * x), axis=1)
 
 
-def _rastrigin_batch_loop(x: np.ndarray) -> np.ndarray:
-    k, d = x.shape
-    out = np.empty(k)
-    for i in range(k):
-        acc = 10.0 * d
-        for j in range(d):
-            v = x[i, j]
-            acc += v * v - 10.0 * np.cos(_TWO_PI * v)
-        out[i] = acc
-    return out
-
-
-def _salomon_batch_numpy(x: np.ndarray) -> np.ndarray:
+def salomon_batch(x) -> np.ndarray:
+    x = _as_batch(x)
     r = np.sqrt(np.sum(x * x, axis=1))
     return 1.0 - np.cos(_TWO_PI * r) + 0.1 * r
 
 
-def _salomon_batch_loop(x: np.ndarray) -> np.ndarray:
-    k, d = x.shape
-    out = np.empty(k)
-    for i in range(k):
-        acc = 0.0
-        for j in range(d):
-            acc += x[i, j] * x[i, j]
-        r = np.sqrt(acc)
-        out[i] = 1.0 - np.cos(_TWO_PI * r) + 0.1 * r
-    return out
-
-
-def _schwefel_batch_numpy(x: np.ndarray) -> np.ndarray:
-    return SCHWEFEL_CONSTANT * x.shape[1] - np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=1)
-
-
-def _schwefel_batch_loop(x: np.ndarray) -> np.ndarray:
-    k, d = x.shape
-    out = np.empty(k)
-    for i in range(k):
-        acc = SCHWEFEL_CONSTANT * d
-        for j in range(d):
-            v = x[i, j]
-            acc -= v * np.sin(np.sqrt(np.abs(v)))
-        out[i] = acc
-    return out
-
-
-_griewank_batch_numba = njit(cache=True)(_griewank_batch_loop)
-_rastrigin_batch_numba = njit(cache=True)(_rastrigin_batch_loop)
-_salomon_batch_numba = njit(cache=True)(_salomon_batch_loop)
-_schwefel_batch_numba = njit(cache=True)(_schwefel_batch_loop)
-
-_griewank_impl = select(_griewank_batch_numba, _griewank_batch_numpy)
-_rastrigin_impl = select(_rastrigin_batch_numba, _rastrigin_batch_numpy)
-_salomon_impl = select(_salomon_batch_numba, _salomon_batch_numpy)
-_schwefel_impl = select(_schwefel_batch_numba, _schwefel_batch_numpy)
-
-
-def griewank_batch(x, standard: bool = False) -> np.ndarray:
-    return _griewank_impl(_as_batch(x), standard)
-
-
-def rastrigin_batch(x) -> np.ndarray:
-    return _rastrigin_impl(_as_batch(x))
-
-
-def salomon_batch(x) -> np.ndarray:
-    return _salomon_impl(_as_batch(x))
-
-
 def schwefel_batch(x) -> np.ndarray:
-    return _schwefel_impl(_as_batch(x))
+    x = _as_batch(x)
+    return SCHWEFEL_CONSTANT * x.shape[1] - np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=1)
 
 
 # ----------------------------------------------------------------------

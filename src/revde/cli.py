@@ -116,7 +116,8 @@ def _at_least(low):
 
 _POSITIVE = (lambda v: math.isfinite(v) and v > 0, "positive and finite")
 _NON_NEGATIVE = (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
-_FINITE_PAIR = (lambda v: all(map(math.isfinite, v)), "finite")
+# the repressilator's parameters are rates and a Hill exponent: never negative
+_PARAM_RANGE = (lambda v: all(map(math.isfinite, v)) and v[0] >= 0, "finite with low >= 0")
 
 
 def _key(default, cast, help, *, key=None, check=None):
@@ -131,7 +132,7 @@ def _key(default, cast, help, *, key=None, check=None):
 
 def _bounds_key(default, name):
     return _key(default, _cast_pair, f"search range 'low,high' for {name}",
-                check=_FINITE_PAIR)
+                check=_PARAM_RANGE)
 
 
 @dataclass
@@ -247,6 +248,9 @@ def _validate(config: ExperimentConfig, sources: dict) -> None:
     problem = config.problem.lower()
     # shorthand: a benchmark name given directly as the problem
     if problem in BENCHMARK_NAMES:
+        if config.benchmark and config.benchmark.lower() != problem:
+            raise invalid("benchmark", f"benchmark {config.benchmark!r} conflicts with "
+                                       f"problem {config.problem!r}")
         config.benchmark = problem
         problem = "benchmark"
     if problem not in PROBLEMS:

@@ -7,16 +7,15 @@ protein equations are -beta * (p - m).
 
 The integrator is an adaptive Dormand-Prince 5(4) scheme with FSAL and
 cubic Hermite dense output at the requested sample times.  It is the
-hot path of parameter fitting, so the core stepper exists in a
-numba-compiled form and a plain-Python fallback (see revde._accel).
-The plain form keeps its state and stages in Python floats, not in
-6-element numpy arrays: at six components numpy's per-operation
-overhead outweighs the arithmetic, and on floats one solve runs about
-5x faster while every sample stays bit-identical to the array form.
-One stepper and one right-hand side serve ``derivatives``,
-``integrate``, ``generate_observations`` and both fit objectives.
+hot path of parameter fitting.  The stepper keeps its state and stages
+in Python floats, not in 6-element numpy arrays: at six components
+numpy's per-operation overhead outweighs the arithmetic, and on floats
+one solve runs about 5x faster while every sample stays bit-identical
+to the array form.  One stepper and one right-hand side serve
+``derivatives``, ``integrate``, ``generate_observations`` and both fit
+objectives.
 
-Numerical guards, applied identically in both forms:
+Numerical guards of the right-hand side:
   - p <= 0: p^n clamped to 0 (the Hill term saturates to alpha);
   - n*log(p) > 700: p^n would overflow, the Hill term collapses to 0.
 """
@@ -29,7 +28,6 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from ._accel import njit, select
 from ._util import fmt_column, write_csv_columns
 from .engine import BoxBounds, Objective
 
@@ -137,12 +135,12 @@ def derivatives(state, params) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Dormand-Prince 5(4) core. Written once, compiled twice (numba + plain).
-# Returns a status code instead of raising so the jitted form stays simple:
+# Dormand-Prince 5(4) core.  Returns a status code instead of raising, so
+# a fit can score a failed solve without an exception per candidate:
 #   0 ok, 1 step underflow, 2 step budget exhausted.  A non-finite trial
 #   state shrinks the step instead, so persistent blow-up ends in 1.
 #
-# The plain form runs on Python floats: a state or stage is a 6-tuple and
+# The stepper runs on Python floats: a state or stage is a 6-tuple and
 # every component is written out.  On 6-element numpy arrays each
 # operation pays numpy's per-call overhead, which costs several times the
 # arithmetic itself.  Each component still sees the IEEE operations of the
@@ -152,7 +150,7 @@ def derivatives(state, params) -> np.ndarray:
 # therefore bit-identical (tests/repressilator_golden.json).
 # ----------------------------------------------------------------------
 
-def _rhs_core(a0, hn, bb, aa, y):
+def _rhs(a0, hn, bb, aa, y):
     """Rates of (m1, p1, m2, p2, m3, p3); gene g is repressed by protein g-1."""
     m1, p1, m2, p2, m3, p3 = y
     # Hill term alpha / (1 + p^n) with the two guards of the module docstring
@@ -163,9 +161,6 @@ def _rhs_core(a0, hn, bb, aa, y):
             -m2 + r2 + a0, -bb * (p2 - m2),
             -m3 + r3 + a0, -bb * (p3 - m3))
 
-
-_rhs_numba = njit(cache=True, nogil=True)(_rhs_core)
-_rhs = select(_rhs_numba, _rhs_core)
 
 # Dormand-Prince tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.5):
 # stage weights A, 5th-order weights B, and E = B - B* of the 4th-order
@@ -182,7 +177,7 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
                                 -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 
-def _dopri5_core(a0, hn, bb, aa, y0, times, rtol, atol, max_steps):
+def _dopri5(a0, hn, bb, aa, y0, times, rtol, atol, max_steps):
     # numpy scalars would send every operation below through numpy
     a0 = float(a0)
     hn = float(hn)
@@ -335,9 +330,6 @@ def _dopri5_core(a0, hn, bb, aa, y0, times, rtol, atol, max_steps):
     return out, 0
 
 
-_dopri5_numba = njit(cache=True, nogil=True)(_dopri5_core)
-_dopri5 = select(_dopri5_numba, _dopri5_core)
-
 _STATUS_MESSAGES = {
     1: "step size underflow (system too stiff at these parameters)",
     2: "step budget exhausted before reaching the end of the horizon",
@@ -440,6 +432,9 @@ def make_fit_objective(
     bounds: BoxBounds = DEFAULT_PARAM_BOUNDS,
 ) -> Objective:
     """Engine-facing batch objective over (alpha0, n, beta, alpha)."""
+    if np.any(bounds.lower < 0):
+        raise ValueError(f"parameters are non-negative, but the box reaches down to "
+                         f"{bounds.lower.tolist()}")
     y0 = _initial_state(initial)
     times = obs.times
     target = obs.mrna

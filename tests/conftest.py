@@ -63,21 +63,3 @@ def synth_idx_files(tmp_path_factory):
     mlp.write_idx_images(paths["test_images"], test_images)
     mlp.write_idx_labels(paths["test_labels"], test_labels)
     return paths
-
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Trigger jit compilation of every hot kernel before timed assertions."""
-    import numpy as np
-
-    from revde import mlp
-    from revde.benchmarks import get_benchmark
-    from revde.repressilator import TRUE_PARAMS, integrate
-
-    x = np.zeros((4, 3))
-    for name in ("griewank", "rastrigin", "salomon", "schwefel"):
-        get_benchmark(name, 3).batch(x)
-    integrate(TRUE_PARAMS, times=np.array([0.0, 1.0]))
-    dataset = mlp.ImageDataset(images=np.zeros((4, 196)), labels=np.zeros(4, dtype=int))
-    mlp.classification_error_batch(np.zeros((2, 4120)), dataset)
-    return True

@@ -1,6 +1,9 @@
-"""Backend selection, numpy/numba agreement, and the shared helpers."""
+"""The shared helpers of ``revde._util`` and the kernel timing script.
 
-import json
+Float and column formatting, atomic writes, and a smoke run of
+``bench/compare_backends.py`` from a checkout.
+"""
+
 import os
 import subprocess
 import sys
@@ -10,39 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import revde
-from revde import NUMBA_ACTIVE, backend_name
-from revde._accel import DISABLE_ENV, numba_disabled_by_env
 from revde._util import atomic_write_text, fmt_column, fmt_float
 from revde.cli import _write_combined_summary
 from revde.engine import Method, RunSummary, RunTrace, write_summary_csv, write_trace_csv
-
-
-def _child_env(**overrides):
-    """Environment for a child interpreter that imports this same revde."""
-    env = dict(os.environ, **overrides)
-    package_root = os.path.dirname(os.path.dirname(revde.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return env
-
-
-class TestBackendSelection:
-    def test_name_matches_flag(self):
-        assert backend_name() == ("numba" if NUMBA_ACTIVE else "numpy")
-
-    @pytest.mark.parametrize("value,expected", [
-        ("1", True), ("true", True), ("YES", True), (" on ", True),
-        ("0", False), ("", False), ("off", False), ("2", False),
-    ])
-    def test_env_values(self, value, expected):
-        assert numba_disabled_by_env(value) is expected
-
-    def test_disable_env_in_subprocess(self):
-        code = "import revde; print(revde.backend_name())"
-        env = _child_env(**{DISABLE_ENV: "1"})
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "numpy"
 
 
 class TestFmtFloat:
@@ -146,85 +119,3 @@ def test_compare_backends_runs_from_checkout(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith("ode solve") for line in proc.stdout.splitlines())
 
-
-AGREEMENT_SCRIPT = r"""
-import json
-import numpy as np
-
-from revde import backend_name
-from revde.benchmarks import get_benchmark
-from revde.engine import BoxBounds, Method, Objective, RunConfig, run
-from revde.mlp import ImageDataset, classification_error_batch
-from revde.repressilator import TRUE_PARAMS, integrate
-
-out = {"backend": backend_name()}
-
-x = np.random.default_rng(0).uniform(-5, 5, size=(40, 6))
-out["bench"] = {
-    name: get_benchmark(name, 6).batch(np.clip(x, *(
-        (200.0, 500.0) if name == "schwefel" else (-5.0, 5.0)))).tolist()
-    for name in ("griewank", "rastrigin", "salomon", "schwefel")
-}
-
-out["traj"] = integrate(TRUE_PARAMS, times=np.linspace(0.0, 20.0, 11)).tolist()
-
-rng = np.random.default_rng(1)
-images = rng.uniform(0.0, 1.0, size=(25, 196))
-labels = rng.integers(0, 10, size=25)
-wb = rng.uniform(-1.0, 1.0, size=(5, 4120))
-out["mlp"] = classification_error_batch(
-    wb, ImageDataset(images, labels)).tolist()
-
-bounds = BoxBounds(np.full(4, -5.0), np.full(4, 5.0))
-cfg = RunConfig(method=Method.REVDE, population_size=8, generations=5, f=0.5, seed=9)
-trace = run(cfg, Objective(lambda a: np.sum(a * a, axis=1), bounds))
-out["trace"] = trace.best_objective.tolist()
-
-print(json.dumps(out))
-"""
-
-
-@pytest.fixture(scope="module")
-def both_payloads():
-    def run_mode(disable: bool):
-        env = _child_env()
-        env.pop(DISABLE_ENV, None)
-        if disable:
-            env[DISABLE_ENV] = "1"
-        proc = subprocess.run(
-            [sys.executable, "-c", AGREEMENT_SCRIPT], env=env,
-            capture_output=True, text=True, check=True,
-        )
-        return json.loads(proc.stdout)
-
-    return run_mode(False), run_mode(True)
-
-
-@pytest.mark.skipif(not NUMBA_ACTIVE, reason="only one backend available")
-class TestBackendAgreement:
-    def test_backends_differ(self, both_payloads):
-        jit, plain = both_payloads
-        assert jit["backend"] == "numba" and plain["backend"] == "numpy"
-
-    def test_benchmark_values_close(self, both_payloads):
-        jit, plain = both_payloads
-        for name in jit["bench"]:
-            a, b = np.array(jit["bench"][name]), np.array(plain["bench"][name])
-            np.testing.assert_allclose(a, b, rtol=1e-13, atol=0,
-                                       err_msg=name)
-
-    def test_trajectory_close(self, both_payloads):
-        jit, plain = both_payloads
-        np.testing.assert_allclose(np.array(jit["traj"]), np.array(plain["traj"]),
-                                   rtol=1e-9, atol=1e-9)
-
-    def test_mlp_errors_identical(self, both_payloads):
-        # discrete misclassification counts: argmax flips need an error of
-        # the size of a logit gap, far above any compilation reordering
-        jit, plain = both_payloads
-        assert jit["mlp"] == plain["mlp"]
-
-    def test_engine_trace_close(self, both_payloads):
-        jit, plain = both_payloads
-        np.testing.assert_allclose(np.array(jit["trace"]), np.array(plain["trace"]),
-                                   rtol=1e-12, atol=0)

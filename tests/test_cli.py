@@ -171,6 +171,30 @@ class TestConfigParsing:
         assert run_cli("run", cfg, "--output-dir", outdir) == 1
         assert not outdir.exists()      # rejected before observations.csv is written
 
+    def test_negative_bounds_rejected(self, tmp_path, capsys):
+        # no repressilator parameter may be negative; the small run keeps a
+        # missed check from running the default budget
+        cfg = write_config(tmp_path, "problem = repressilator\nalpha0_bounds = -5,-1\n"
+                                     "n_bounds = -3,-1\nn = 6\ngenerations = 1\n"
+                                     "repeats = 1\nmethods = revde\n")
+        outdir = tmp_path / "out"
+        assert run_cli("run", cfg, "--output-dir", outdir) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}:2: alpha0_bounds must be finite with low >= 0")
+        assert not outdir.exists()
+
+    def test_benchmark_conflicting_with_problem_rejected(self, tmp_path):
+        path = write_config(tmp_path, "problem = rastrigin\nbenchmark = schwefel\n")
+        with pytest.raises(ConfigError, match=r":2: benchmark 'schwefel' conflicts with "
+                                              r"problem 'rastrigin'"):
+            parse_config(path)
+        base = write_config(tmp_path, "problem = rastrigin\n", name="base.cfg")
+        with pytest.raises(ConfigError, match=r"^flag --benchmark: benchmark 'salomon'"):
+            parse_config(base, {"benchmark": "salomon"})
+        same = write_config(tmp_path, "problem = rastrigin\nbenchmark = Rastrigin\n",
+                            name="same.cfg")
+        assert parse_config(same).benchmark == "rastrigin"
+
     def test_negative_seed_rejected(self, tmp_path):
         path = write_config(tmp_path, "problem = rastrigin\nseed = -1\n")
         with pytest.raises(ConfigError, match=r":2: seed must be >= 0"):

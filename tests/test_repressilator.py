@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from revde.engine import BoxBounds
 from revde.repressilator import (
     DEFAULT_INITIAL_STATE,
     DEFAULT_PARAM_BOUNDS,
@@ -231,6 +232,14 @@ class TestFitObjective:
     def test_batch_rejects_wrong_initial_state(self, clean_obs):
         with pytest.raises(ValueError, match="6 entries"):
             make_fit_objective(clean_obs, initial=[1.0, 2.0, 3.0])
+
+    def test_box_below_zero_rejected(self, clean_obs):
+        below = BoxBounds(lower=np.array([-5.0, -3.0, 0.1, 1.0]),
+                          upper=np.array([-1.0, -1.0, 20.0, 2000.0]))
+        with pytest.raises(ValueError, match="non-negative"):
+            make_fit_objective(clean_obs, bounds=below)
+        at_zero = BoxBounds(lower=np.zeros(4), upper=np.array([10.0, 10.0, 20.0, 2000.0]))
+        assert make_fit_objective(clean_obs, bounds=at_zero).bounds is at_zero
 
     def test_batch_is_row_permutation_equivariant(self, clean_obs):
         rng = np.random.default_rng(4)

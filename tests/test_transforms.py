@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import revde_recursion
 from revde.transforms import (
@@ -302,6 +303,64 @@ class TestSelection:
         out = select_survivors(old, offspring, off_values)
         assert out.values.min() == min(old.values.min(), off_values.min())
         assert out.size == 6
+
+
+# objective values for selection pools: failed repressilator solves score
+# +inf, so infinities and exact ties are the common case, not the edge case
+POOL_VALUE = st.one_of(st.sampled_from([np.inf, np.inf, -np.inf, 0.0, 1.0]),
+                       st.floats(allow_nan=False))
+
+
+@st.composite
+def selection_pools(draw):
+    """(parent values, offspring values, survivor count) for one selection."""
+    parents = draw(st.lists(POOL_VALUE, min_size=4, max_size=12))
+    offspring = draw(st.lists(POOL_VALUE, min_size=1, max_size=3 * len(parents)))
+    n = draw(st.one_of(st.none(), st.integers(4, len(parents) + len(offspring))))
+    return np.array(parents), np.array(offspring), n
+
+
+class TestSelectionProperties:
+    @staticmethod
+    def _select(parent_values, offspring_values, n=None):
+        """Select from a pool whose one-column members are their pool positions."""
+        size = parent_values.size
+        old = Population(members=np.arange(size, dtype=float)[:, None],
+                         values=parent_values, generation=3)
+        offspring = np.arange(size, size + offspring_values.size, dtype=float)[:, None]
+        return select_survivors(old, offspring, offspring_values, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(selection_pools())
+    def test_matches_sort_on_value_origin_index(self, pool):
+        parent_values, offspring_values, n = pool
+        out = self._select(parent_values, offspring_values, n)
+        size = parent_values.size
+        values = np.concatenate([parent_values, offspring_values])
+        ranked = sorted(range(values.size), key=lambda p: (
+            values[p], p >= size, p if p < size else p - size))
+        chosen = sorted(ranked[:size if n is None else n])
+
+        positions = out.members[:, 0].astype(int).tolist()
+        assert positions == chosen                       # stable pool order
+        assert np.array_equal(out.values, values[chosen])
+        assert out.generation == 4
+        assert out.values.min() == values.min()          # the best is never lost
+        # ties keep parents: no parent is dropped for an offspring of equal value
+        dropped = [p for p in range(size) if p not in positions]
+        worst_offspring = max((values[p] for p in positions if p >= size), default=None)
+        if worst_offspring is not None:
+            assert all(values[p] > worst_offspring for p in dropped)
+
+    @settings(max_examples=100, deadline=None)
+    @given(selection_pools(), st.data())
+    def test_nan_anywhere_rejected(self, pool, data):
+        parent_values, offspring_values, n = pool
+        values = np.concatenate([parent_values, offspring_values])
+        values[data.draw(st.integers(0, values.size - 1))] = np.nan
+        size = parent_values.size
+        with pytest.raises(ValueError, match="NaN"):
+            self._select(values[:size], values[size:], n)
 
 
 class TestDeterminant:
