@@ -4,7 +4,6 @@ from .transforms import (
     EigenReport,
     MatrixKind,
     Population,
-    TransformMatrix,
     apply_triplet_transform,
     binomial_crossover,
     build_matrix,
@@ -28,7 +27,6 @@ __all__ = [
     "__version__",
     "backend_name",
     "MatrixKind",
-    "TransformMatrix",
     "EigenReport",
     "Population",
     "de_mutation",

@@ -2,8 +2,8 @@
 
 Each function is one population-batch kernel (``rastrigin_batch(X)``,
 ``(K, D) -> (K,)``), the one the optimization loop calls; a single point
-is a one-row batch, as :meth:`BenchmarkSpec.evaluate` does.  Each kernel
-is one vectorized numpy expression over the whole batch.
+is a one-row batch.  Each kernel is one vectorized numpy expression over
+the whole batch.
 
 Note on Griewank: the sum term here is ``sqrt(x_d^2 / 4000)``, i.e.
 ``|x_d| / sqrt(4000)``, not the more common ``x_d^2 / 4000``.  Pass
@@ -90,9 +90,6 @@ class BenchmarkSpec:
     lower: np.ndarray
     upper: np.ndarray
     griewank_standard: bool = False
-
-    def evaluate(self, x) -> float:
-        return float(self.batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def batch(self, x) -> np.ndarray:
         if self.name == "griewank":

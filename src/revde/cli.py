@@ -130,9 +130,11 @@ def _key(default, cast, help, *, key=None, check=None):
     return field(default=default, metadata=metadata)
 
 
-def _bounds_key(default, name):
-    return _key(default, _cast_pair, f"search range 'low,high' for {name}",
-                check=_PARAM_RANGE)
+def _bounds_key(i, name):
+    """Search range of parameter ``i``, by default the library's box."""
+    box = rep_mod.DEFAULT_PARAM_BOUNDS
+    return _key((float(box.lower[i]), float(box.upper[i])), _cast_pair,
+                f"search range 'low,high' for {name}", check=_PARAM_RANGE)
 
 
 @dataclass
@@ -162,10 +164,10 @@ class ExperimentConfig:
     obs_end: float = _key(40.0, _cast_float, "last observation time", check=_POSITIVE)
     obs_count: int = _key(40, _cast_int, "number of observation times", check=_at_least(1))
     observations: str = _key("", str.strip, "load observations from CSV (t,m1,m2,m3)")
-    alpha0_bounds: tuple = _bounds_key((0.01, 10.0), "alpha0")
-    n_bounds: tuple = _bounds_key((0.1, 10.0), "n")
-    beta_bounds: tuple = _bounds_key((0.1, 20.0), "beta")
-    alpha_bounds: tuple = _bounds_key((1.0, 2000.0), "alpha")
+    alpha0_bounds: tuple = _bounds_key(0, "alpha0")
+    n_bounds: tuple = _bounds_key(1, "n")
+    beta_bounds: tuple = _bounds_key(2, "beta")
+    alpha_bounds: tuple = _bounds_key(3, "alpha")
     # mlp
     train_images: str = _key("", str.strip, "training images (IDX, gzip allowed)")
     train_labels: str = _key("", str.strip, "training labels (IDX, gzip allowed)")
@@ -430,16 +432,9 @@ def run_experiment(config: ExperimentConfig) -> int:
             rep_mod.write_observations_csv(obs, obs_path)
             manifest["outputs"].append(obs_path.name)
 
-            bounds = BoxBounds(
-                lower=np.array(
-                    [config.alpha0_bounds[0], config.n_bounds[0],
-                     config.beta_bounds[0], config.alpha_bounds[0]]
-                ),
-                upper=np.array(
-                    [config.alpha0_bounds[1], config.n_bounds[1],
-                     config.beta_bounds[1], config.alpha_bounds[1]]
-                ),
-            )
+            # (low, high) pairs in parameter order, transposed to (lower, upper)
+            bounds = BoxBounds(*np.transpose([config.alpha0_bounds, config.n_bounds,
+                                              config.beta_bounds, config.alpha_bounds]))
 
             def make_objective():
                 return rep_mod.make_fit_objective(obs, bounds=bounds)
@@ -474,11 +469,9 @@ def run_experiment(config: ExperimentConfig) -> int:
             results = _run_method_suite(config, make_objective, outdir, manifest)
             if test is not None:
                 for method, traces in results.items():
-                    errors = []
-                    for t in traces:
-                        pop = t.final_population
-                        weights = pop.members[pop.best_index()]
-                        errors.append(mlp_mod.classification_error(weights, test))
+                    best = [t.final_population.members[t.final_population.best_index()]
+                            for t in traces]
+                    errors = mlp_mod.classification_error_batch(best, test).tolist()
                     manifest["runs"][method.value]["test_error"] = errors
                     manifest["runs"][method.value]["test_error_mean"] = float(
                         np.mean(errors)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -153,9 +153,6 @@ class Objective:
         self.evaluation_counter += k
         return values
 
-    def __call__(self, x: np.ndarray) -> float:
-        return float(self.evaluate(np.asarray(x, dtype=np.float64)[None, :])[0])
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -203,10 +200,6 @@ class RunTrace:
     history: Optional[list] = None
 
     @property
-    def records(self) -> list:
-        return list(zip(self.evaluation_index.tolist(), self.best_objective.tolist()))
-
-    @property
     def final_best(self) -> float:
         return float(self.best_objective[-1])
 
@@ -223,8 +216,6 @@ class RunSummary:
 
 def initialize_population(bounds: BoxBounds, n: int, rng: np.random.Generator) -> Population:
     """Uniform coordinate-wise sample of n candidates inside the box."""
-    if n < 4:
-        raise ValueError(f"population size must be >= 4, got {n}")
     members = rng.uniform(bounds.lower, bounds.upper, size=(n, bounds.dim))
     return Population(members=members, values=None, generation=0)
 
@@ -345,17 +336,8 @@ def run_repeated(
     """Run ``repeats`` independent repetitions; repeat r uses seed+r."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    traces = []
-    for r in range(repeats):
-        rep_config = RunConfig(
-            method=config.method,
-            population_size=config.population_size,
-            generations=config.generations,
-            f=config.f,
-            crossover_rate=config.crossover_rate,
-            seed=config.seed + r,
-        )
-        traces.append(run(rep_config, objective, keep_history=keep_history))
+    traces = [run(replace(config, seed=config.seed + r), objective, keep_history=keep_history)
+              for r in range(repeats)]
     stacked = np.stack([t.best_objective for t in traces])
     summary = RunSummary(
         evaluation_index=traces[0].evaluation_index,

@@ -1,14 +1,16 @@
-"""Forward-only MLP classification error over image data.
+"""MLP classification error over image data, one batch of candidates at a time.
 
-The network is 196-20-10 with NO bias terms; that is the only
-decomposition giving the documented 4120-weight count
+The network is 196-20-10 with ReLU hidden units and NO bias terms; that
+is the only decomposition giving the documented 4120-weight count
 (196*20 + 20*10 = 3920 + 200).  A candidate weight vector lays out the
 input->hidden block first (row-major, 3920 entries) followed by the
-hidden->output block (200 entries).
+hidden->output block (200 entries).  The predicted class is the argmax
+of the output logits; :func:`classification_error_batch` scores a
+``(K, 4120)`` batch, and one candidate is a one-row batch.
 
 Includes an IDX-format reader/writer (the MNIST distribution format,
-gzip detected by magic bytes) and 2x2 average-pool downsampling from
-28x28 to 14x14.
+gzip detected by magic bytes) and 2x2 average-pool downsampling of
+``(N, 784)`` rows of 28x28 images to ``(N, 196)``.
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ __all__ = [
     "write_idx_images",
     "write_idx_labels",
     "downsample",
-    "split_weights",
-    "forward",
-    "classification_error",
     "classification_error_batch",
     "prepare_dataset",
     "make_error_objective",
@@ -205,48 +204,11 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
 
 
 def downsample(images: np.ndarray) -> np.ndarray:
-    """28x28 -> 14x14 by non-overlapping 2x2 average pooling."""
+    """(N, 784) rows of 28x28 images -> (N, 196) by non-overlapping 2x2 average pooling."""
     arr = np.asarray(images, dtype=np.float64)
-    single = arr.ndim == 1 or (arr.ndim == 2 and arr.shape == (28, 28))
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    elif arr.ndim == 2 and arr.shape == (28, 28):
-        arr = arr[None, :, :]
-    if arr.ndim == 2:
-        if arr.shape[1] != 784:
-            raise ValueError(f"expected 784 pixels per row, got {arr.shape[1]}")
-        arr = arr.reshape(-1, 28, 28)
-    elif arr.ndim == 3:
-        if arr.shape[1:] != (28, 28):
-            raise ValueError(f"expected 28x28 images, got {arr.shape[1:]}")
-    else:
-        raise ValueError(f"cannot interpret shape {arr.shape} as 28x28 images")
-    pooled = arr.reshape(-1, 14, 2, 14, 2).mean(axis=(2, 4))
-    flat = pooled.reshape(-1, 196)
-    return flat[0] if single else flat
-
-
-def split_weights(weights: np.ndarray, shape: MlpShape = SHAPE):
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (shape.total_weights,):
-        raise ValueError(
-            f"weight vector must have {shape.total_weights} entries, got shape {w.shape}"
-        )
-    w1 = w[: shape.hidden_weights].reshape(shape.hidden_dim, shape.input_dim)
-    w2 = w[shape.hidden_weights :].reshape(shape.output_dim, shape.hidden_dim)
-    return w1, w2
-
-
-def forward(weights: np.ndarray, image: np.ndarray, shape: MlpShape = SHAPE) -> np.ndarray:
-    """Softmax class probabilities for one image."""
-    x = np.asarray(image, dtype=np.float64)
-    if x.shape != (shape.input_dim,):
-        raise ValueError(f"image must have {shape.input_dim} pixels, got shape {x.shape}")
-    w1, w2 = split_weights(weights, shape)
-    h = np.maximum(w1 @ x, 0.0)
-    logits = w2 @ h
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+    if arr.ndim != 2 or arr.shape[1] != 784:
+        raise ValueError(f"expected (N, 784) rows of 28x28 images, got shape {arr.shape}")
+    return arr.reshape(-1, 14, 2, 14, 2).mean(axis=(2, 4)).reshape(-1, 196)
 
 
 # Hidden activations per chunk of candidates, in float64 values (2.56 MB):
@@ -256,55 +218,41 @@ def forward(weights: np.ndarray, image: np.ndarray, shape: MlpShape = SHAPE) -> 
 _CHUNK_HIDDEN_VALUES = 320_000
 
 
-def _chunk_errors(weights_batch, dataset: ImageDataset, shape: MlpShape) -> np.ndarray:
-    c, n, h_dim = weights_batch.shape[0], dataset.count, shape.hidden_dim
-    split = shape.hidden_weights
+def _chunk_errors(weights_batch, dataset: ImageDataset) -> np.ndarray:
+    c, n, h_dim = weights_batch.shape[0], dataset.count, SHAPE.hidden_dim
+    split = SHAPE.hidden_weights
     # (c*H, P) @ (P, n): images.T goes to BLAS as a transposed view
-    h = weights_batch[:, :split].reshape(c * h_dim, shape.input_dim) @ dataset.images.T
+    h = weights_batch[:, :split].reshape(c * h_dim, SHAPE.input_dim) @ dataset.images.T
     np.maximum(h, 0.0, out=h)
     # (c, n, H) @ (c, H, O): class-last logits, which argmax reads in place
-    w2t = weights_batch[:, split:].reshape(c, shape.output_dim, h_dim).transpose(0, 2, 1)
+    w2t = weights_batch[:, split:].reshape(c, SHAPE.output_dim, h_dim).transpose(0, 2, 1)
     logits = h.reshape(c, h_dim, n).transpose(0, 2, 1) @ w2t
     pred = logits.argmax(axis=2)               # ties keep the lowest class
     return np.count_nonzero(pred != dataset.labels, axis=1) / n
 
 
-def classification_error(weights, dataset: ImageDataset, shape: MlpShape = SHAPE) -> float:
-    """Fraction of dataset rows whose argmax class differs from the label.
+def classification_error_batch(weights_batch, dataset: ImageDataset) -> np.ndarray:
+    """Fraction of dataset rows misclassified, per row of a (K, 4120) weight batch.
 
-    Softmax is monotone, so the argmax is taken on the logits directly;
-    ties resolve to the lowest class index.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (shape.total_weights,):
-        raise ValueError(
-            f"weight vector must have {shape.total_weights} entries, got shape {w.shape}"
-        )
-    return float(classification_error_batch(w[None, :], dataset, shape)[0])
-
-
-def classification_error_batch(
-    weights_batch, dataset: ImageDataset, shape: MlpShape = SHAPE
-) -> np.ndarray:
-    """:func:`classification_error` of each row of a (K, weights) batch.
-
-    Candidates are scored a chunk at a time, sized by
-    ``_CHUNK_HIDDEN_VALUES``, which bounds the memory a call takes.
+    A row's predicted class is the argmax of its output logits, with ties
+    resolved to the lowest class index.  Candidates are scored a chunk
+    at a time, sized by ``_CHUNK_HIDDEN_VALUES``, which bounds the memory
+    a call takes.
     """
     wb = np.ascontiguousarray(weights_batch, dtype=np.float64)
-    if wb.ndim != 2 or wb.shape[1] != shape.total_weights:
+    if wb.ndim != 2 or wb.shape[1] != SHAPE.total_weights:
         raise ValueError(
-            f"expected a (K, {shape.total_weights}) weight batch, got shape {wb.shape}"
+            f"expected a (K, {SHAPE.total_weights}) weight batch, got shape {wb.shape}"
         )
-    if dataset.pixels != shape.input_dim:
+    if dataset.pixels != SHAPE.input_dim:
         raise ValueError(
-            f"dataset rows have {dataset.pixels} pixels, the network expects {shape.input_dim}"
+            f"dataset rows have {dataset.pixels} pixels, the network expects {SHAPE.input_dim}"
         )
     k = wb.shape[0]
-    chunk = max(1, _CHUNK_HIDDEN_VALUES // (shape.hidden_dim * dataset.count))
+    chunk = max(1, _CHUNK_HIDDEN_VALUES // (SHAPE.hidden_dim * dataset.count))
     errors = np.empty(k)
     for i in range(0, k, chunk):
-        errors[i : i + chunk] = _chunk_errors(wb[i : i + chunk], dataset, shape)
+        errors[i : i + chunk] = _chunk_errors(wb[i : i + chunk], dataset)
     return errors
 
 

@@ -5,9 +5,9 @@ the members as an ``(N, D)`` matrix together with their cached objective
 values.  Every operator works on whole batches with numpy broadcasting
 over the leading axes, and the optimization loop in :mod:`revde.engine`
 calls these same functions; one candidate or one triplet is the same
-call without leading axes.  The triplet variants are expressed through an explicit 3x3
-operator (:class:`TransformMatrix`) acting on stacked ``(..., 3, D)``
-triplets:
+call without leading axes.  The triplet variants are expressed through an
+explicit 3x3 operator, a read-only array from :func:`build_matrix`,
+acting on stacked ``(..., 3, D)`` triplets:
 
 * ``ADE_M``  -- identity plus an antisymmetric part scaled by ``f``;
   applying it to a stacked triplet perturbs each member with the scaled
@@ -31,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "MatrixKind",
-    "TransformMatrix",
     "EigenReport",
     "Population",
     "de_mutation",
@@ -58,22 +57,6 @@ def _check_scale(f: float) -> float:
     if not math.isfinite(f) or f < 0.0:
         raise ValueError(f"scaling factor must be finite and >= 0, got {f}")
     return f
-
-
-@dataclass(frozen=True)
-class TransformMatrix:
-    """A 3x3 triplet operator together with the scale it was built from."""
-
-    entries: np.ndarray
-    kind: MatrixKind
-    f: float
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.float64)
-        if entries.shape != (3, 3):
-            raise ValueError(f"entries must be 3x3, got {entries.shape}")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
 
 
 @dataclass(frozen=True)
@@ -166,13 +149,13 @@ def de_mutation(base, a, b, f: float) -> np.ndarray:
     return base + f * (pair.pop(0) - pair.pop())
 
 
-def build_matrix(kind: MatrixKind, f: float) -> TransformMatrix:
+def build_matrix(kind: MatrixKind, f: float) -> np.ndarray:
     """Construct the 3x3 triplet operator for the given kind and scale.
 
     ``ADE_M`` is the identity plus an antisymmetric matrix in ``f``;
     ``REVDE_R`` is the operator that reuses freshly generated rows
     (its rows are polynomials in ``f`` up to degree three).  ``f = 0``
-    yields the identity for both kinds.
+    yields the identity for both kinds.  The array is read-only.
     """
     kind = MatrixKind(kind)
     f = _check_scale(f)
@@ -194,7 +177,8 @@ def build_matrix(kind: MatrixKind, f: float) -> TransformMatrix:
                 [f + f2, -f + f2 + f3, 1.0 - 2.0 * f2 - f3],
             ]
         )
-    return TransformMatrix(entries=entries, kind=kind, f=f)
+    entries.setflags(write=False)
+    return entries
 
 
 def _check_triplets(x: np.ndarray, name: str) -> None:
@@ -202,18 +186,18 @@ def _check_triplets(x: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be stacked (..., 3, D) triplets, got shape {x.shape}")
 
 
-def apply_triplet_transform(m: TransformMatrix, triplets) -> np.ndarray:
-    """Apply the operator to stacked triplets: ``m.entries @ triplets``.
+def apply_triplet_transform(m: np.ndarray, triplets) -> np.ndarray:
+    """Apply the 3x3 operator to stacked triplets: ``m @ triplets``.
 
     ``triplets`` is ``(..., 3, D)``; row ``t`` of each output triplet is
     the ``t``-th row of ``m`` combined with the three input rows.
     """
     triplets = np.asarray(triplets, dtype=np.float64)
     _check_triplets(triplets, "triplets")
-    return m.entries @ triplets
+    return m @ triplets
 
 
-def invert_triplet_transform(m: TransformMatrix, y) -> np.ndarray:
+def invert_triplet_transform(m: np.ndarray, y) -> np.ndarray:
     """Recover the stacked ``(..., 3, D)`` input triplets from transformed ones.
 
     Both operator kinds are non-singular for every ``f`` (unit
@@ -223,12 +207,11 @@ def invert_triplet_transform(m: TransformMatrix, y) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     _check_triplets(y, "y")
     det = determinant(m)
-    e = m.entries
     adjugate = np.array(
         [
-            [e[1, 1] * e[2, 2] - e[1, 2] * e[2, 1], e[0, 2] * e[2, 1] - e[0, 1] * e[2, 2], e[0, 1] * e[1, 2] - e[0, 2] * e[1, 1]],
-            [e[1, 2] * e[2, 0] - e[1, 0] * e[2, 2], e[0, 0] * e[2, 2] - e[0, 2] * e[2, 0], e[0, 2] * e[1, 0] - e[0, 0] * e[1, 2]],
-            [e[1, 0] * e[2, 1] - e[1, 1] * e[2, 0], e[0, 1] * e[2, 0] - e[0, 0] * e[2, 1], e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]],
+            [m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1], m[0, 2] * m[2, 1] - m[0, 1] * m[2, 2], m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]],
+            [m[1, 2] * m[2, 0] - m[1, 0] * m[2, 2], m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0], m[0, 2] * m[1, 0] - m[0, 0] * m[1, 2]],
+            [m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0], m[0, 1] * m[2, 0] - m[0, 0] * m[2, 1], m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]],
         ]
     )
     return (adjugate / det) @ y
@@ -316,9 +299,9 @@ def select_survivors(
     )
 
 
-def determinant(m: TransformMatrix | np.ndarray) -> float:
+def determinant(m) -> float:
     """3x3 determinant by cofactor expansion along the first row."""
-    e = m.entries if isinstance(m, TransformMatrix) else np.asarray(m, dtype=np.float64)
+    e = np.asarray(m, dtype=np.float64)
     if e.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {e.shape}")
     return float(
@@ -351,7 +334,7 @@ def _solve_cubic(c2: float, c1: float, c0: float) -> list[complex]:
     return roots
 
 
-def eigen_report(m: TransformMatrix) -> EigenReport:
+def eigen_report(m: np.ndarray) -> EigenReport:
     """Eigenvalues of the operator via its cubic characteristic polynomial.
 
     The characteristic polynomial of a 3x3 matrix is
@@ -359,12 +342,11 @@ def eigen_report(m: TransformMatrix) -> EigenReport:
     principal 2x2 minors; the cubic is solved in closed form, so no
     general eigensolver is involved.
     """
-    e = m.entries
-    trace = e[0, 0] + e[1, 1] + e[2, 2]
+    trace = m[0, 0] + m[1, 1] + m[2, 2]
     minors = (
-        e[1, 1] * e[2, 2] - e[1, 2] * e[2, 1]
-        + e[0, 0] * e[2, 2] - e[0, 2] * e[2, 0]
-        + e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+        m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
+        + m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
+        + m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     )
     det = determinant(m)
     roots = _solve_cubic(-trace, minors, -det)

@@ -178,9 +178,11 @@ class TestLookup:
             get_benchmark("salomon", 0)
 
     def test_spec_evaluate_scalar(self):
+        # one point is a one-row batch
         spec = get_benchmark("rastrigin", 2)
-        assert spec.evaluate([1.0, 1.0]) == pytest.approx(2.0, abs=1e-12)
+        assert spec.batch([[1.0, 1.0]]).shape == (1,)
+        assert spec.batch([[1.0, 1.0]])[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_spec_griewank_standard_plumbed(self):
         spec = get_benchmark("griewank", 2, griewank_standard=True)
-        assert spec.evaluate([1.0, 1.0]) == pytest.approx(0.5897380911762422, abs=1e-13)
+        assert spec.batch([[1.0, 1.0]])[0] == pytest.approx(0.5897380911762422, abs=1e-13)

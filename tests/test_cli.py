@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revde import cli
+from revde import cli, mlp
+from revde.benchmarks import BENCHMARK_NAMES
 from revde.cli import ConfigError, ExperimentConfig, main, parse_config
-from revde.engine import Method
+from revde.engine import Method, RunConfig, run_repeated
+from revde.repressilator import DEFAULT_PARAM_BOUNDS
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -36,6 +38,9 @@ class TestConfigParsing:
         assert cfg.repeats == 10
         assert cfg.budget_match is True
         assert cfg.methods == (Method.DE, Method.DEX3, Method.ADE, Method.REVDE)
+        box = DEFAULT_PARAM_BOUNDS     # the library's box, pair by pair
+        assert [cfg.alpha0_bounds, cfg.n_bounds, cfg.beta_bounds, cfg.alpha_bounds] == list(
+            zip(box.lower.tolist(), box.upper.tolist()))
 
     def test_benchmark_shorthand(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, "problem = schwefel\n"))
@@ -286,23 +291,33 @@ class TestKeyTable:
            text=st.one_of(
                st.text(st.characters(blacklist_characters="\r\n"), max_size=12),
                st.sampled_from(["nan", "inf", "-inf", "-1", "0", "5", "1e400", "dex3",
-                                "de,de", "mlp", "benchmark", "1,nan", "-inf,inf", " "]),
+                                "de,de", "mlp", "benchmark", "1,nan", "-inf,inf", " ",
+                                "schwefel", "Griewank", "rastrigin"]),
            ))
     def test_config_fuzz(self, tmp_path_factory, key, text):
         path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
         body, line = base_with(key, text)
         path.write_text(body, encoding="utf-8")
-        try:
-            parse_config(path)
-        except ConfigError as exc:
-            assert str(exc).startswith(f"{path}:{line}: "), str(exc)
-
         base = path.with_name("fuzz_base.cfg")
         base.write_text(base_with("problem", FUZZ_BASE["problem"])[0])
-        try:
-            parse_config(base, {key: text})
-        except ConfigError as exc:
-            assert str(exc).startswith(f"flag --{key.replace('_', '-')}: "), str(exc)
+        # a problem naming another benchmark conflicts with the base's
+        # benchmark key, and the error is blamed on that key's line
+        conflict = (key == "problem" and text.strip().lower() in BENCHMARK_NAMES
+                    and text.strip().lower() != FUZZ_BASE["benchmark"])
+        benchmark_line = list(FUZZ_BASE).index("benchmark") + 1
+
+        for source, overrides, where in (
+            (path, None, f"{path}:{benchmark_line if conflict else line}: "),
+            (base, {key: text},
+             f"{base}:{benchmark_line}: " if conflict else f"flag --{key.replace('_', '-')}: "),
+        ):
+            try:
+                parse_config(source, overrides)
+            except ConfigError as exc:
+                assert str(exc).startswith(where), str(exc)
+                assert not conflict or "conflicts with problem" in str(exc), str(exc)
+            else:
+                assert not conflict, f"{text!r} over benchmark = {FUZZ_BASE['benchmark']}"
 
 
 class TestAnalyze:
@@ -473,6 +488,23 @@ class TestRunRepressilator:
             second / "trace_revde.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("rows, line", [
+        ("0,0,0,0\n1,5,nan,3\n2,4,2,1\n", 3),
+        ("0,0,0,0\n1,5,1,3\ninf,4,2,1\n", 4),
+    ], ids=["nan-mrna-cell", "inf-last-time"])
+    def test_non_finite_observations_fail(self, tmp_path, capsys, rows, line):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("t,m1,m2,m3\n" + rows)
+        cfg = write_config(tmp_path, "problem = repressilator\nmethods = revde\nn = 6\n"
+                                     "generations = 1\nrepeats = 1\n")
+        outdir = tmp_path / "out"
+        assert run_cli("run", cfg, "--output-dir", outdir, "--observations", obs) == 1
+        assert f"{obs}:{line}: non-finite field" in capsys.readouterr().err
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert f"{obs}:{line}: non-finite field" in manifest["error"]
+        assert manifest["runs"] == {} and manifest["outputs"] == []
+        assert sorted(p.name for p in outdir.iterdir()) == ["manifest.json"]
+
 
 class TestRunMlp:
     def test_train_and_test_errors(self, tmp_path, synth_idx_files):
@@ -496,6 +528,35 @@ class TestRunMlp:
         assert 0.0 <= run_info["test_error_mean"] <= 1.0
         assert 0.0 <= run_info["final_best"][0] <= 1.0
         assert (outdir / "trace_revde.csv").exists()
+
+    def test_test_error_per_repeat(self, tmp_path, synth_idx_files):
+        # one batch call over the repeats' best weights scores each repeat
+        # as a one-row batch would
+        cfg = write_config(
+            tmp_path,
+            "problem = mlp\nmethods = ade\nn = 8\ngenerations = 2\nrepeats = 3\n"
+            "train_size = 40\nseed = 7\n",
+        )
+        outdir = tmp_path / "out"
+        assert run_cli("run", cfg, "--output-dir", outdir,
+                       *(f"--{key.replace('_', '-')}={path}"
+                         for key, path in synth_idx_files.items())) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+
+        train = mlp.prepare_dataset(mlp.load_idx(synth_idx_files["train_images"],
+                                                 synth_idx_files["train_labels"]),
+                                    train_size=40)
+        test = mlp.prepare_dataset(mlp.load_idx(synth_idx_files["test_images"],
+                                                synth_idx_files["test_labels"]))
+        config = RunConfig(method=Method.ADE, population_size=8, generations=2, f=0.5, seed=7)
+        traces, _ = run_repeated(config, mlp.make_error_objective(train), repeats=3)
+        expected = []
+        for trace in traces:
+            pop = trace.final_population
+            weights = pop.members[pop.best_index()][None, :]
+            expected.append(mlp.classification_error_batch(weights, test)[0])
+        assert manifest["runs"]["ade"]["test_error"] == expected
+        assert manifest["runs"]["ade"]["test_error_mean"] == np.mean(expected)
 
 
 class TestFailures:

@@ -50,7 +50,7 @@ class TestObjective:
     def test_counter_increments_per_candidate(self, bounds):
         obj = Objective(sphere_batch, bounds)
         obj.evaluate(np.zeros((7, 3)))
-        obj(np.ones(3))
+        obj.evaluate(np.ones((1, 3)))
         assert obj.evaluation_counter == 8
 
     def test_nan_maps_to_inf_and_flags(self, bounds):
@@ -200,6 +200,34 @@ class TestRun:
         assert len(trace.history) == 4   # init + one per generation
         gens = [g for g, _, _ in trace.history]
         assert gens == [0, 1, 2, 3]
+
+
+class TestBatchSplitting:
+    @settings(max_examples=40, deadline=None)
+    @given(method=st.sampled_from(list(Method)), n=st.integers(7, 12),
+           dim=st.integers(1, 5), generations=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), split_seed=st.integers(0, 2**32 - 1))
+    def test_trace_invariant_to_evaluator_chunks(self, method, n, dim, generations,
+                                                  seed, split_seed):
+        # the same run whether the evaluator scores each batch whole or in
+        # random row chunks (empty ones included), drawn from its own stream
+        bounds = BoxBounds(np.full(dim, -5.0), np.full(dim, 5.0))
+        split_rng = np.random.default_rng(split_seed)
+
+        def chunked(x):
+            cuts = np.sort(split_rng.integers(0, x.shape[0] + 1, size=split_rng.integers(0, 5)))
+            return np.concatenate([rastrigin_batch(part) for part in np.split(x, cuts)])
+
+        cfg = RunConfig(method=method, population_size=n, generations=generations, f=0.7,
+                        seed=seed)
+        whole = run(cfg, Objective(rastrigin_batch, bounds))
+        split = run(cfg, Objective(chunked, bounds))
+        assert split.best_objective.tobytes() == whole.best_objective.tobytes()
+        a, b = split.final_population, whole.final_population
+        assert a.members.tobytes() == b.members.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
+        per_slot = 1 if method is Method.DE else 3      # exact accounting: N + G*k*N
+        assert split.evaluations == whole.evaluations == n + generations * per_slot * n
 
 
 class TestSlotSampler:

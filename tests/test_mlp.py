@@ -1,7 +1,6 @@
 """MLP classifier head: weights layout, IDX files, error kernels."""
 
 import gzip
-import math
 import struct
 import tracemalloc
 
@@ -17,14 +16,11 @@ from revde.mlp import (
     IdxMagicError,
     IdxTruncatedError,
     ImageDataset,
-    classification_error,
     classification_error_batch,
     downsample,
-    forward,
     load_idx,
     make_error_objective,
     prepare_dataset,
-    split_weights,
     write_idx_images,
     write_idx_labels,
 )
@@ -48,89 +44,38 @@ class TestShape:
         assert (DEFAULT_WEIGHT_BOUNDS.upper == 1.0).all()
 
 
-class TestSplitWeights:
-    def test_layout(self):
-        w = np.arange(4120, dtype=float)
-        w1, w2 = split_weights(w)
-        assert w1.shape == (20, 196) and w2.shape == (10, 20)
-        assert np.array_equal(w1[0], w[:196])
-        assert np.array_equal(w2[0], w[3920:3940])
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            split_weights(np.zeros(4119))
-
-
 class TestForward:
-    def test_outputs_are_probabilities(self):
-        rng = np.random.default_rng(3)
-        p = forward(rng.uniform(-1, 1, 4120), rng.uniform(0, 1, 196))
-        assert p.shape == (10,)
-        assert (p > 0).all()
-        assert abs(p.sum() - 1.0) < 1e-12
-
-    def test_zero_weights_uniform(self):
-        p = forward(np.zeros(4120), np.full(196, 0.5))
-        assert np.allclose(p, 0.1, atol=1e-15)
+    """The forward pass as the batch kernel computes it."""
 
     def test_engineered_routing(self):
         # hidden unit 0 sums the image; only class 5 reads that unit
-        w = np.zeros(4120)
-        w[:196] = 1.0
-        w[3920 + 5 * 20] = 1.0
-        p = forward(w, np.full(196, 0.5))
-        assert p.argmax() == 5
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(11)
-        w = rng.uniform(-1, 1, 4120)
-        x = rng.uniform(0, 1, 196)
-        w1, w2 = split_weights(w)
-        h = [max(0.0, sum(w1[j, i] * x[i] for i in range(196))) for j in range(20)]
-        logits = [sum(w2[c, j] * h[j] for j in range(20)) for c in range(10)]
-        mx = max(logits)
-        e = [math.exp(v - mx) for v in logits]
-        expected = np.array(e) / sum(e)
-        assert np.allclose(forward(w, x), expected, atol=1e-12)
-
-    def test_rejects_wrong_image_size(self):
-        with pytest.raises(ValueError):
-            forward(np.zeros(4120), np.zeros(784))
+        w = np.zeros((1, 4120))
+        w[0, :196] = 1.0
+        w[0, 3920 + 5 * 20] = 1.0
+        images = np.full((3, 196), 0.5)
+        for label, error in ((5, 0.0), (0, 1.0)):
+            dataset = ImageDataset(images, np.full(3, label))
+            assert classification_error_batch(w, dataset).tolist() == [error]
 
 
 class TestDownsample:
     def test_constant_image(self):
-        out = downsample(np.full(784, 0.25))
-        assert out.shape == (196,)
+        out = downsample(np.full((1, 784), 0.25))
+        assert out.shape == (1, 196)
         assert np.allclose(out, 0.25)
 
     def test_block_average_exact(self):
         img = np.zeros((28, 28))
         img[0, 0], img[0, 1], img[1, 0], img[1, 1] = 0.0, 1.0, 2.0, 3.0
-        out = downsample(img)
-        assert out.shape == (196,)
-        assert out[0] == 1.5
-        assert out[1] == 0.0
-
-    def test_all_input_shapes_agree(self):
-        rng = np.random.default_rng(0)
-        batch3d = rng.uniform(0, 1, size=(5, 28, 28))
-        batch2d = batch3d.reshape(5, 784)
-        a = downsample(batch3d)
-        b = downsample(batch2d)
-        c = downsample(batch3d[2])
-        d = downsample(batch2d[2])
-        assert np.array_equal(a, b)
-        assert np.array_equal(a[2], c)
-        assert np.array_equal(c, d)
+        out = downsample(img.reshape(1, 784))
+        assert out.shape == (1, 196)
+        assert out[0, 0] == 1.5
+        assert out[0, 1] == 0.0
 
     def test_rejects_other_shapes(self):
-        with pytest.raises(ValueError):
-            downsample(np.zeros((4, 100)))
-        with pytest.raises(ValueError):
-            downsample(np.zeros((4, 27, 28)))
-        with pytest.raises(ValueError):
-            downsample(np.zeros((2, 2, 28, 28)))
+        for shape in ((4, 100), (784,), (28, 28), (5, 28, 28), (4, 27, 28), (2, 2, 28, 28)):
+            with pytest.raises(ValueError):
+                downsample(np.zeros(shape))
 
 
 class TestIdxFiles:
@@ -215,7 +160,8 @@ def _reference_errors(weights_batch, dataset):
     """Error per candidate from a forward pass per image, strict-> argmax."""
     errors = []
     for w in weights_batch:
-        w1, w2 = split_weights(w)
+        # input->hidden block first, row-major, then hidden->output
+        w1, w2 = w[:3920].reshape(20, 196), w[3920:].reshape(10, 20)
         wrong = 0
         for x, label in zip(dataset.images, dataset.labels):
             logits = w2 @ np.maximum(w1 @ x, 0.0)
@@ -230,28 +176,25 @@ def _reference_errors(weights_batch, dataset):
 
 class TestClassificationError:
     def test_zero_weights_predict_class_zero(self, synth_dataset):
-        err = classification_error(np.zeros(4120), synth_dataset)
-        assert err == np.mean(synth_dataset.labels != 0)
+        err = classification_error_batch(np.zeros((1, 4120)), synth_dataset)
+        assert err.tolist() == [np.mean(synth_dataset.labels != 0)]
 
     def test_positive_scaling_invariance(self, synth_dataset):
         w = np.random.default_rng(5).uniform(-1, 1, 4120)
-        assert classification_error(w, synth_dataset) == classification_error(
-            w * 7.5, synth_dataset
-        )
+        errors = classification_error_batch(np.stack([w, w * 7.5]), synth_dataset)
+        assert errors[0] == errors[1]
 
     def test_random_weights_near_chance(self, synth_dataset):
         rng = np.random.default_rng(0)
-        errs = [
-            classification_error(rng.uniform(-1, 1, 4120), synth_dataset)
-            for _ in range(10)
-        ]
+        errs = classification_error_batch(rng.uniform(-1, 1, size=(10, 4120)), synth_dataset)
         assert 0.85 < np.mean(errs) < 0.95
 
     def test_batch_matches_scalar(self, synth_dataset):
+        # a batch scores each row as a one-row batch would
         wb = np.random.default_rng(6).uniform(-1, 1, size=(4, 4120))
         batch = classification_error_batch(wb, synth_dataset)
-        scalar = [classification_error(w, synth_dataset) for w in wb]
-        assert batch.tolist() == scalar
+        rows = [classification_error_batch(w[None, :], synth_dataset)[0] for w in wb]
+        assert batch.tolist() == rows
 
     def test_empty_batch(self, synth_dataset):
         assert classification_error_batch(np.zeros((0, 4120)), synth_dataset).shape == (0,)
@@ -303,7 +246,7 @@ class TestClassificationError:
 
     def test_validation(self, synth_dataset):
         with pytest.raises(ValueError):
-            classification_error(np.zeros(100), synth_dataset)
+            classification_error_batch(np.zeros(4120), synth_dataset)
         with pytest.raises(ValueError):
             classification_error_batch(np.zeros((2, 100)), synth_dataset)
 
@@ -313,7 +256,7 @@ class TestPrepareDataset:
         images, labels = make_synthetic_images(10, seed=4)
         ds = prepare_dataset(ImageDataset(images.reshape(10, 784) / 255.0, labels))
         assert ds.pixels == 196
-        assert np.array_equal(ds.images[0], downsample(images[0] / 255.0))
+        assert np.array_equal(ds.images, downsample(images.reshape(10, 784) / 255.0))
 
     def test_keeps_prepared_rows(self, synth_dataset):
         again = prepare_dataset(synth_dataset)

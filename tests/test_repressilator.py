@@ -17,7 +17,6 @@ from revde.repressilator import (
     RepressilatorParams,
     default_observation_times,
     derivatives,
-    fit_objective,
     generate_observations,
     integrate,
     make_fit_objective,
@@ -29,6 +28,12 @@ from revde.repressilator import (
 
 def y0_default():
     return np.array(DEFAULT_INITIAL_STATE, dtype=float)
+
+
+def fit_value(params, obs):
+    """The batch fit objective on one candidate, as a one-row batch."""
+    candidate = np.atleast_2d(np.asarray(params, dtype=float))
+    return make_fit_objective(obs).evaluate(candidate)[0]
 
 
 class TestParams:
@@ -152,8 +157,8 @@ class TestIntegrate:
         huge = RepressilatorParams(1.0, 2.0, 1e300, 1000.0)
         with pytest.raises(IntegrationError, match="underflow"):
             integrate(huge)
-        assert fit_objective(huge, ObservationSet(default_observation_times(),
-                                                  np.zeros((40, 3)))) == math.inf
+        assert fit_value(huge.as_array(), ObservationSet(default_observation_times(),
+                                                         np.zeros((40, 3)))) == math.inf
 
     def test_tolerance_validation(self):
         for rtol, atol in ((1e-6, 0.0), (1e-6, -1e-8), (-1e-6, 1e-8), (1e-6, math.nan)):
@@ -194,7 +199,21 @@ class TestObservations:
             ObservationSet(t, np.zeros((3, 2)))
         with pytest.raises(ValueError):
             ObservationSet(t, good, noise_std=-1.0)
+        with pytest.raises(ValueError, match="at or after 0"):   # fits integrate from t = 0
+            ObservationSet(t - 1.0, good)
         assert ObservationSet(t, good).count == 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # a NaN cell would score every candidate NaN, an inf time exhaust
+        # every solve's step budget: both gave a silent +inf run
+        t = np.array([0.0, 1.0, 2.0])
+        mrna = np.zeros((3, 3))
+        mrna[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ObservationSet(t, mrna)
+        with pytest.raises(ValueError, match="finite"):
+            ObservationSet(np.array([0.0, 1.0, bad]), np.zeros((3, 3)))
 
 
 @pytest.fixture(scope="module")
@@ -206,16 +225,16 @@ def clean_obs():
 
 class TestFitObjective:
     def test_self_fit_is_zero(self, clean_obs):
-        assert fit_objective(TRUE_PARAMS, clean_obs) < 1e-12
+        assert fit_value(TRUE_PARAMS.as_array(), clean_obs) < 1e-12
 
     def test_uniform_offset_gives_exact_distance(self, clean_obs):
         shifted = ObservationSet(clean_obs.times,
                                  clean_obs.mrna + np.array([3.0, 4.0, 0.0]))
-        assert fit_objective(TRUE_PARAMS, shifted) == 5.0
+        assert fit_value(TRUE_PARAMS.as_array(), shifted) == 5.0
 
     def test_integration_failure_maps_to_inf(self, clean_obs):
         stiff = RepressilatorParams(1.0, 2.0, 1e6, 1000.0)
-        assert fit_objective(stiff, clean_obs) == math.inf
+        assert fit_value(stiff.as_array(), clean_obs) == math.inf
 
     def test_batch_matches_scalar(self, clean_obs):
         cands = np.array([
@@ -225,9 +244,13 @@ class TestFitObjective:
         ])
         obj = make_fit_objective(clean_obs)
         batch = obj.evaluate(cands)
-        scalar = np.array([fit_objective(c, clean_obs) for c in cands])
-        assert np.array_equal(batch, scalar)
+        rows = np.array([fit_value(c, clean_obs) for c in cands])
+        assert np.array_equal(batch, rows)
         assert obj.evaluation_counter == 3
+        # each row is the mean mRNA distance of integrate's samples
+        for c, value in zip(cands, batch):
+            sim = integrate(c, times=clean_obs.times)[:, (0, 2, 4)]
+            assert value == np.mean(np.sqrt(np.sum((clean_obs.mrna - sim) ** 2, axis=1)))
 
     def test_batch_rejects_wrong_initial_state(self, clean_obs):
         with pytest.raises(ValueError, match="6 entries"):
@@ -278,6 +301,13 @@ class TestCsvInterchange:
         with pytest.raises(ValueError, match=":2"):
             read_observations_csv(path)
 
+    @pytest.mark.parametrize("row", ["1,5,nan,3", "inf,5,1,3", "1,-inf,1,3"])
+    def test_non_finite_reported_with_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,m1,m2,m3\n0,1,2,3\n{row}\n2,1,1,1\n")
+        with pytest.raises(ValueError, match=r":3: non-finite field"):
+            read_observations_csv(path)
+
     def test_param_history_schema(self, tmp_path):
         history = [
             (0, np.array([[1.0, 2.0, 5.0, 1000.0]]), np.array([3.5])),
@@ -300,7 +330,7 @@ class TestGolden:
     """Bit-identity of the stepper against values recorded from revde 0.1.0.
 
     ``repressilator_golden.json`` holds ``float.hex`` of every
-    ``integrate`` sample and of ``fit_objective`` at fixed candidates:
+    ``integrate`` sample and of the fit objective at fixed candidates:
     the true parameters, both box corners, two interior points, a
     custom grid and initial state, a step underflow (beta=1e100), a
     step budget of 3 and the stiff beta=1e6 candidate, which exhausts
@@ -328,11 +358,11 @@ class TestGolden:
                 integrate(case["params"], **kwargs)
             assert str(info.value) == case["error"]
         if "fit" in case:
-            assert fit_objective(case["params"], obs).hex() == case["fit"]
+            assert fit_value(case["params"], obs).hex() == case["fit"]
 
 
 class TestScipyOracle:
-    """fit_objective against an independent tight DOP853 solve."""
+    """The batch fit objective against an independent tight DOP853 solve."""
 
     @staticmethod
     def rhs(_t, y, a0, n, b, a):
@@ -353,11 +383,12 @@ class TestScipyOracle:
                                     rng=np.random.default_rng(7))
         rng = np.random.default_rng(11)
         box = DEFAULT_PARAM_BOUNDS
-        for cand in rng.uniform(box.lower, box.upper, size=(5, 4)):
+        cands = rng.uniform(box.lower, box.upper, size=(5, 4))
+        for cand, got in zip(cands, make_fit_objective(obs).evaluate(cands)):
             sol = solve_ivp(self.rhs, (0.0, obs.times[-1]), DEFAULT_INITIAL_STATE,
                             method="DOP853", t_eval=obs.times, rtol=1e-11, atol=1e-11,
                             args=tuple(cand))
             assert sol.success, sol.message
             sim = sol.y[(0, 2, 4), :].T
             want = np.mean(np.sqrt(np.sum((obs.mrna - sim) ** 2, axis=1)))
-            assert fit_objective(cand, obs) == pytest.approx(want, rel=1e-6, abs=0.0)
+            assert got == pytest.approx(want, rel=1e-6, abs=0.0)

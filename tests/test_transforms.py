@@ -95,7 +95,7 @@ class TestBuildMatrix:
     def test_ade_entries_at_half(self):
         m = build_matrix(MatrixKind.ADE_M, 0.5)
         want = np.array([[1, 0.5, -0.5], [-0.5, 1, 0.5], [0.5, -0.5, 1]])
-        assert np.array_equal(m.entries, want)
+        assert np.array_equal(m, want)
 
     def test_revde_entries_at_half(self):
         # row 3 from the cubic expansion: [F+F^2, -F+F^2+F^3, 1-2F^2-F^3]
@@ -105,21 +105,22 @@ class TestBuildMatrix:
         want = np.array(
             [[1.0, 0.5, -0.5], [-0.5, 0.75, 0.75], [0.75, -0.125, 0.375]]
         )
-        assert np.array_equal(m.entries, want)
+        assert np.array_equal(m, want)
 
     def test_f_zero_identity(self):
         for kind in MatrixKind:
-            assert np.array_equal(build_matrix(kind, 0.0).entries, np.eye(3))
+            assert np.array_equal(build_matrix(kind, 0.0), np.eye(3))
 
     def test_ade_minus_identity_antisymmetric(self):
         for f in F_GRID:
-            a = build_matrix(MatrixKind.ADE_M, f).entries - np.eye(3)
+            a = build_matrix(MatrixKind.ADE_M, f) - np.eye(3)
             assert np.array_equal(a, -a.T)
 
     def test_entries_read_only(self):
         m = build_matrix(MatrixKind.ADE_M, 0.25)
+        assert m.shape == (3, 3) and m.dtype == np.float64
         with pytest.raises(ValueError):
-            m.entries[0, 0] = 5.0
+            m[0, 0] = 5.0
 
     def test_negative_f_rejected(self):
         with pytest.raises(ValueError):
@@ -181,6 +182,27 @@ class TestReversibility:
             for orig, rec in zip(x, back):
                 rel = np.max(np.abs(rec - orig)) / max(1.0, np.max(np.abs(orig)))
                 assert rel < 1e-9
+
+
+class TestMatrixProperties:
+    """The paper's identities on the array build_matrix returns, at random F and D."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(list(MatrixKind)),
+           f=st.floats(0.0, 4.0, exclude_min=True, allow_subnormal=False),
+           dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_determinants_and_round_trip(self, kind, f, dim, seed):
+        m = build_matrix(kind, f)
+        assert isinstance(m, np.ndarray) and m.shape == (3, 3) and not m.flags.writeable
+        # cofactor terms are products of three entries: rounding scales with max|m|^3
+        scale = np.abs(m).max() ** 3
+        want = 1.0 + 3.0 * f * f if kind is MatrixKind.ADE_M else 1.0
+        assert abs(determinant(m) - want) <= 1e-14 * scale
+
+        x = np.random.default_rng(seed).normal(scale=10.0, size=(5, 3, dim))
+        back = invert_triplet_transform(m, apply_triplet_transform(m, x))
+        assert back.shape == x.shape
+        assert np.max(np.abs(back - x)) <= 1e-14 * scale * max(1.0, np.max(np.abs(x)))
 
 
 class TestCrossover:
