@@ -45,12 +45,17 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file in the same directory.
 
     The final rename is atomic on POSIX, so readers never observe a
-    partially written file and reruns never append.
+    partially written file and reruns never append.  The file gets the
+    mode a plain ``open(path, "w")`` would give it (0o666 less the
+    umask), not the owner-only mode of ``mkstemp``.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

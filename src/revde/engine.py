@@ -339,10 +339,16 @@ def run_repeated(
     traces = [run(replace(config, seed=config.seed + r), objective, keep_history=keep_history)
               for r in range(repeats)]
     stacked = np.stack([t.best_objective for t in traces])
+    # a column holding inf has a NaN std (inf - inf); it has no spread
+    # where every repeat agrees (all still +inf), else an infinite one
+    with np.errstate(invalid="ignore"):
+        std = stacked.std(axis=0)
+    nan = np.isnan(std)
+    std[nan] = np.where((stacked[:, nan] == stacked[0, nan]).all(axis=0), 0.0, np.inf)
     summary = RunSummary(
         evaluation_index=traces[0].evaluation_index,
         mean=stacked.mean(axis=0),
-        std=stacked.std(axis=0),
+        std=std,
         repeats=repeats,
     )
     return traces, summary

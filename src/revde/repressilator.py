@@ -11,13 +11,18 @@ hot path of parameter fitting.  The stepper keeps its state and stages
 in Python floats, not in 6-element numpy arrays: at six components
 numpy's per-operation overhead outweighs the arithmetic, and on floats
 one solve runs about 5x faster while every sample stays bit-identical
-to the array form.  One stepper and one right-hand side serve
-``derivatives``, ``integrate``, ``generate_observations`` and the batch
-fit objective of ``make_fit_objective``.
+to the array form.  Stages k2..k7 evaluate the rate equations inline on
+named locals, which saves a call and a 6-tuple per stage and makes a
+solve another ~1.5x faster, still bit-identical.  One stepper serves
+``integrate``, ``generate_observations`` and the batch fit objective of
+``make_fit_objective``; ``_rhs`` gives ``derivatives`` and the
+stepper's first slope and initial step guess.
 
 Numerical guards of the right-hand side:
   - p <= 0: p^n clamped to 0 (the Hill term saturates to alpha);
   - n*log(p) > 700: p^n would overflow, the Hill term collapses to 0.
+The stepper skips the log of the second guard for 0 < p < exp(699/n),
+where it cannot fire (``_hill_cutoff``).
 """
 
 from __future__ import annotations
@@ -138,31 +143,52 @@ def derivatives(state, params) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Dormand-Prince 5(4) core.  Returns a status code instead of raising, so
-# a fit can score a failed solve without an exception per candidate:
-#   0 ok, 1 step underflow, 2 step budget exhausted.  A non-finite trial
-#   state shrinks the step instead, so persistent blow-up ends in 1.
+# Dormand-Prince 5(4) core.  Returns (samples, status) instead of raising,
+# so a fit can score a failed solve without an exception per candidate:
+#   0 ok, 1 step underflow, 2 step budget exhausted; samples is None
+#   unless the status is 0.  A non-finite trial state shrinks the step
+#   instead, so persistent blow-up ends in 1.
 #
-# The stepper runs on Python floats: a state or stage is a 6-tuple and
-# every component is written out.  On 6-element numpy arrays each
-# operation pays numpy's per-call overhead, which costs several times the
-# arithmetic itself.  Each component still sees the IEEE operations of the
-# array-based stepper of revde 0.1.0 in the same order: stage sums left to
-# right, norms as q*q (np.square) summed in index order and then / 6.0
-# (np.mean for n < 8), scalar powers through pow().  Its samples are
-# therefore bit-identical (tests/repressilator_golden.json).
+# The stepper runs on Python floats: every state and stage component is
+# a named local, and stages k2..k7 evaluate the rate equations inline
+# rather than through _rhs, which would pack and unpack a 6-tuple per
+# stage.  Each component still sees the IEEE operations of the
+# array-based stepper of revde 0.1.0 in the same order: rates as
+# -m + hill + a0 and (-beta) * (p - m), stage sums left to right, norms
+# as q*q (np.square) summed in index order and then / 6.0 (np.mean for
+# n < 8), scalar powers through pow().  Its samples are therefore
+# bit-identical (tests/repressilator_golden.json).
 # ----------------------------------------------------------------------
+
+def _hill(aa, hn, p):
+    """Hill term alpha / (1 + p^n) with the two guards of the module docstring."""
+    return aa if p <= 0.0 else 0.0 if hn * math.log(p) > 700.0 else aa / (1.0 + p ** hn)
+
+
+def _hill_cutoff(hn):
+    """A bound below which every p > 0 has n*log(p) <= 700.
+
+    For 0 < p < cutoff the Hill guard cannot fire, so the stepper takes
+    alpha / (1 + p^n) directly and skips the log.  exp(699/n) leaves a
+    margin of 1 over the rounding of log and of the product; where
+    699/n >= 709, exp would overflow and every finite p qualifies,
+    since n*log(p) <= (699/709) * 709.79 < 700.  A negative or NaN n
+    gets 0, which sends every p through the guarded form.
+    """
+    if hn == 0.0:
+        return math.inf
+    if not hn > 0.0:
+        return 0.0
+    x = 699.0 / hn
+    return math.inf if x >= 709.0 else math.exp(x)
+
 
 def _rhs(a0, hn, bb, aa, y):
     """Rates of (m1, p1, m2, p2, m3, p3); gene g is repressed by protein g-1."""
     m1, p1, m2, p2, m3, p3 = y
-    # Hill term alpha / (1 + p^n) with the two guards of the module docstring
-    r1 = aa if p3 <= 0.0 else 0.0 if hn * math.log(p3) > 700.0 else aa / (1.0 + p3 ** hn)
-    r2 = aa if p1 <= 0.0 else 0.0 if hn * math.log(p1) > 700.0 else aa / (1.0 + p1 ** hn)
-    r3 = aa if p2 <= 0.0 else 0.0 if hn * math.log(p2) > 700.0 else aa / (1.0 + p2 ** hn)
-    return (-m1 + r1 + a0, -bb * (p1 - m1),
-            -m2 + r2 + a0, -bb * (p2 - m2),
-            -m3 + r3 + a0, -bb * (p3 - m3))
+    return (-m1 + _hill(aa, hn, p3) + a0, -bb * (p1 - m1),
+            -m2 + _hill(aa, hn, p1) + a0, -bb * (p2 - m2),
+            -m3 + _hill(aa, hn, p2) + a0, -bb * (p3 - m3))
 
 
 # Dormand-Prince tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.5):
@@ -186,6 +212,8 @@ def _dopri5(a0, hn, bb, aa, y0, times, rtol, atol, max_steps):
     hn = float(hn)
     bb = float(bb)
     aa = float(aa)
+    nb = -bb
+    p_hi = _hill_cutoff(hn)
     # The requested tolerances describe the accuracy of the *sampled*
     # output.  Cubic Hermite interpolation sits one order below the
     # stepper and global error accumulates past the per-step tolerance,
@@ -193,22 +221,22 @@ def _dopri5(a0, hn, bb, aa, y0, times, rtol, atol, max_steps):
     rtol = float(rtol) * 0.02
     atol = float(atol) * 0.02
 
-    n_out = times.shape[0]
-    out = np.empty((n_out, 6))
+    ts = times.tolist()
+    n_out = len(ts)
+    rows = []
 
     t = 0.0
-    t_end = float(times[n_out - 1])
+    t_end = ts[n_out - 1]
     y = (float(y0[0]), float(y0[1]), float(y0[2]), float(y0[3]), float(y0[4]), float(y0[5]))
     f = _rhs(a0, hn, bb, aa, y)
 
     # emit every sample at or before the start time
     filled = 0
-    while filled < n_out and times[filled] <= t:
-        for i in range(6):
-            out[filled, i] = y[i]
+    while filled < n_out and ts[filled] <= t:
+        rows.append(y)
         filled += 1
     if filled == n_out:
-        return out, 0
+        return np.array(rows), 0
 
     # initial step guess, after HINIT in Hairer's DOPRI5 code
     dny = 0.0
@@ -223,7 +251,7 @@ def _dopri5(a0, hn, bb, aa, y0, times, rtol, atol, max_steps):
     dnf = math.sqrt(dnf / 6.0)
     h = 1e-6 if (dny < 1e-5 or dnf < 1e-5) else 0.01 * dny / dnf
     if not h > 0.0:   # |f| / sc overflowed: no usable step size
-        return out, 1
+        return None, 1
     f_trial = _rhs(a0, hn, bb, aa, (y[0] + h * f[0], y[1] + h * f[1], y[2] + h * f[2],
                                     y[3] + h * f[3], y[4] + h * f[4], y[5] + h * f[5]))
     der2 = 0.0
@@ -235,102 +263,147 @@ def _dopri5(a0, hn, bb, aa, y0, times, rtol, atol, max_steps):
     h1 = max(1e-6, h * 1e-3) if der12 <= 1e-15 else (0.01 / der12) ** 0.2
     h = min(min(100.0 * h, h1), t_end - t)
 
+    # state y1..y6 and stages a (k1 = f), b, c, d, e, g (k2..k6), k (k7 =
+    # f(y_new), FSAL); s1..s6 holds the state each stage is evaluated at,
+    # last y_new.  The Hill term of m_g is taken at the protein of gene g-1.
+    y1, y2, y3, y4, y5, y6 = y
+    a1, a2, a3, a4, a5, a6 = f
     steps = 0
     while t < t_end:
         if steps >= max_steps:
-            return out, 2
+            return None, 2
         steps += 1
         if h < 1e-14 * max(1.0, abs(t)):
-            return out, 1
+            return None, 1
         if t + h > t_end:
             h = t_end - t
 
-        # stages k1..k7 unpacked per component; k1 = f and k7 = f(y_new) (FSAL)
-        y1, y2, y3, y4, y5, y6 = y
-        a1, a2, a3, a4, a5, a6 = f
-        b1, b2, b3, b4, b5, b6 = _rhs(a0, hn, bb, aa, (
-            y1 + h * (_A21 * a1), y2 + h * (_A21 * a2), y3 + h * (_A21 * a3),
-            y4 + h * (_A21 * a4), y5 + h * (_A21 * a5), y6 + h * (_A21 * a6)))
-        c1, c2, c3, c4, c5, c6 = _rhs(a0, hn, bb, aa, (
-            y1 + h * (_A31 * a1 + _A32 * b1), y2 + h * (_A31 * a2 + _A32 * b2),
-            y3 + h * (_A31 * a3 + _A32 * b3), y4 + h * (_A31 * a4 + _A32 * b4),
-            y5 + h * (_A31 * a5 + _A32 * b5), y6 + h * (_A31 * a6 + _A32 * b6)))
-        d1, d2, d3, d4, d5, d6 = _rhs(a0, hn, bb, aa, (
-            y1 + h * (_A41 * a1 + _A42 * b1 + _A43 * c1),
-            y2 + h * (_A41 * a2 + _A42 * b2 + _A43 * c2),
-            y3 + h * (_A41 * a3 + _A42 * b3 + _A43 * c3),
-            y4 + h * (_A41 * a4 + _A42 * b4 + _A43 * c4),
-            y5 + h * (_A41 * a5 + _A42 * b5 + _A43 * c5),
-            y6 + h * (_A41 * a6 + _A42 * b6 + _A43 * c6)))
-        e1, e2, e3, e4, e5, e6 = _rhs(a0, hn, bb, aa, (
-            y1 + h * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
-            y2 + h * (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
-            y3 + h * (_A51 * a3 + _A52 * b3 + _A53 * c3 + _A54 * d3),
-            y4 + h * (_A51 * a4 + _A52 * b4 + _A53 * c4 + _A54 * d4),
-            y5 + h * (_A51 * a5 + _A52 * b5 + _A53 * c5 + _A54 * d5),
-            y6 + h * (_A51 * a6 + _A52 * b6 + _A53 * c6 + _A54 * d6)))
-        g1, g2, g3, g4, g5, g6 = _rhs(a0, hn, bb, aa, (
-            y1 + h * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1),
-            y2 + h * (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2),
-            y3 + h * (_A61 * a3 + _A62 * b3 + _A63 * c3 + _A64 * d3 + _A65 * e3),
-            y4 + h * (_A61 * a4 + _A62 * b4 + _A63 * c4 + _A64 * d4 + _A65 * e4),
-            y5 + h * (_A61 * a5 + _A62 * b5 + _A63 * c5 + _A64 * d5 + _A65 * e5),
-            y6 + h * (_A61 * a6 + _A62 * b6 + _A63 * c6 + _A64 * d6 + _A65 * e6)))
-        y_new = (
-            y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * g1),
-            y2 + h * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * g2),
-            y3 + h * (_B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * g3),
-            y4 + h * (_B1 * a4 + _B3 * c4 + _B4 * d4 + _B5 * e4 + _B6 * g4),
-            y5 + h * (_B1 * a5 + _B3 * c5 + _B4 * d5 + _B5 * e5 + _B6 * g5),
-            y6 + h * (_B1 * a6 + _B3 * c6 + _B4 * d6 + _B5 * e6 + _B6 * g6))
-        k7 = _rhs(a0, hn, bb, aa, y_new)
+        s1 = y1 + h * (_A21 * a1)
+        s2 = y2 + h * (_A21 * a2)
+        s3 = y3 + h * (_A21 * a3)
+        s4 = y4 + h * (_A21 * a4)
+        s5 = y5 + h * (_A21 * a5)
+        s6 = y6 + h * (_A21 * a6)
+        b1 = -s1 + (aa / (1.0 + s6 ** hn) if 0.0 < s6 < p_hi else _hill(aa, hn, s6)) + a0
+        b2 = nb * (s2 - s1)
+        b3 = -s3 + (aa / (1.0 + s2 ** hn) if 0.0 < s2 < p_hi else _hill(aa, hn, s2)) + a0
+        b4 = nb * (s4 - s3)
+        b5 = -s5 + (aa / (1.0 + s4 ** hn) if 0.0 < s4 < p_hi else _hill(aa, hn, s4)) + a0
+        b6 = nb * (s6 - s5)
 
-        finite = True
-        for i in range(6):
-            if not math.isfinite(y_new[i]):
-                finite = False
-        if not finite:
+        s1 = y1 + h * (_A31 * a1 + _A32 * b1)
+        s2 = y2 + h * (_A31 * a2 + _A32 * b2)
+        s3 = y3 + h * (_A31 * a3 + _A32 * b3)
+        s4 = y4 + h * (_A31 * a4 + _A32 * b4)
+        s5 = y5 + h * (_A31 * a5 + _A32 * b5)
+        s6 = y6 + h * (_A31 * a6 + _A32 * b6)
+        c1 = -s1 + (aa / (1.0 + s6 ** hn) if 0.0 < s6 < p_hi else _hill(aa, hn, s6)) + a0
+        c2 = nb * (s2 - s1)
+        c3 = -s3 + (aa / (1.0 + s2 ** hn) if 0.0 < s2 < p_hi else _hill(aa, hn, s2)) + a0
+        c4 = nb * (s4 - s3)
+        c5 = -s5 + (aa / (1.0 + s4 ** hn) if 0.0 < s4 < p_hi else _hill(aa, hn, s4)) + a0
+        c6 = nb * (s6 - s5)
+
+        s1 = y1 + h * (_A41 * a1 + _A42 * b1 + _A43 * c1)
+        s2 = y2 + h * (_A41 * a2 + _A42 * b2 + _A43 * c2)
+        s3 = y3 + h * (_A41 * a3 + _A42 * b3 + _A43 * c3)
+        s4 = y4 + h * (_A41 * a4 + _A42 * b4 + _A43 * c4)
+        s5 = y5 + h * (_A41 * a5 + _A42 * b5 + _A43 * c5)
+        s6 = y6 + h * (_A41 * a6 + _A42 * b6 + _A43 * c6)
+        d1 = -s1 + (aa / (1.0 + s6 ** hn) if 0.0 < s6 < p_hi else _hill(aa, hn, s6)) + a0
+        d2 = nb * (s2 - s1)
+        d3 = -s3 + (aa / (1.0 + s2 ** hn) if 0.0 < s2 < p_hi else _hill(aa, hn, s2)) + a0
+        d4 = nb * (s4 - s3)
+        d5 = -s5 + (aa / (1.0 + s4 ** hn) if 0.0 < s4 < p_hi else _hill(aa, hn, s4)) + a0
+        d6 = nb * (s6 - s5)
+
+        s1 = y1 + h * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1)
+        s2 = y2 + h * (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2)
+        s3 = y3 + h * (_A51 * a3 + _A52 * b3 + _A53 * c3 + _A54 * d3)
+        s4 = y4 + h * (_A51 * a4 + _A52 * b4 + _A53 * c4 + _A54 * d4)
+        s5 = y5 + h * (_A51 * a5 + _A52 * b5 + _A53 * c5 + _A54 * d5)
+        s6 = y6 + h * (_A51 * a6 + _A52 * b6 + _A53 * c6 + _A54 * d6)
+        e1 = -s1 + (aa / (1.0 + s6 ** hn) if 0.0 < s6 < p_hi else _hill(aa, hn, s6)) + a0
+        e2 = nb * (s2 - s1)
+        e3 = -s3 + (aa / (1.0 + s2 ** hn) if 0.0 < s2 < p_hi else _hill(aa, hn, s2)) + a0
+        e4 = nb * (s4 - s3)
+        e5 = -s5 + (aa / (1.0 + s4 ** hn) if 0.0 < s4 < p_hi else _hill(aa, hn, s4)) + a0
+        e6 = nb * (s6 - s5)
+
+        s1 = y1 + h * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1)
+        s2 = y2 + h * (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2)
+        s3 = y3 + h * (_A61 * a3 + _A62 * b3 + _A63 * c3 + _A64 * d3 + _A65 * e3)
+        s4 = y4 + h * (_A61 * a4 + _A62 * b4 + _A63 * c4 + _A64 * d4 + _A65 * e4)
+        s5 = y5 + h * (_A61 * a5 + _A62 * b5 + _A63 * c5 + _A64 * d5 + _A65 * e5)
+        s6 = y6 + h * (_A61 * a6 + _A62 * b6 + _A63 * c6 + _A64 * d6 + _A65 * e6)
+        g1 = -s1 + (aa / (1.0 + s6 ** hn) if 0.0 < s6 < p_hi else _hill(aa, hn, s6)) + a0
+        g2 = nb * (s2 - s1)
+        g3 = -s3 + (aa / (1.0 + s2 ** hn) if 0.0 < s2 < p_hi else _hill(aa, hn, s2)) + a0
+        g4 = nb * (s4 - s3)
+        g5 = -s5 + (aa / (1.0 + s4 ** hn) if 0.0 < s4 < p_hi else _hill(aa, hn, s4)) + a0
+        g6 = nb * (s6 - s5)
+
+        # y_new, the 5th-order solution
+        s1 = y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * g1)
+        s2 = y2 + h * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * g2)
+        s3 = y3 + h * (_B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * g3)
+        s4 = y4 + h * (_B1 * a4 + _B3 * c4 + _B4 * d4 + _B5 * e4 + _B6 * g4)
+        s5 = y5 + h * (_B1 * a5 + _B3 * c5 + _B4 * d5 + _B5 * e5 + _B6 * g5)
+        s6 = y6 + h * (_B1 * a6 + _B3 * c6 + _B4 * d6 + _B5 * e6 + _B6 * g6)
+        if not (math.isfinite(s1) and math.isfinite(s2) and math.isfinite(s3)
+                and math.isfinite(s4) and math.isfinite(s5) and math.isfinite(s6)):
             # shrink and retry; persistent blow-up ends in underflow
             h *= 0.25
             continue
+        k1 = -s1 + (aa / (1.0 + s6 ** hn) if 0.0 < s6 < p_hi else _hill(aa, hn, s6)) + a0
+        k2 = nb * (s2 - s1)
+        k3 = -s3 + (aa / (1.0 + s2 ** hn) if 0.0 < s2 < p_hi else _hill(aa, hn, s2)) + a0
+        k4 = nb * (s4 - s3)
+        k5 = -s5 + (aa / (1.0 + s4 ** hn) if 0.0 < s4 < p_hi else _hill(aa, hn, s4)) + a0
+        k6 = nb * (s6 - s5)
 
-        err_vec = (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * g1 + _E7 * k7[0],
-                   _E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * g2 + _E7 * k7[1],
-                   _E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * g3 + _E7 * k7[2],
-                   _E1 * a4 + _E3 * c4 + _E4 * d4 + _E5 * e4 + _E6 * g4 + _E7 * k7[3],
-                   _E1 * a5 + _E3 * c5 + _E4 * d5 + _E5 * e5 + _E6 * g5 + _E7 * k7[4],
-                   _E1 * a6 + _E3 * c6 + _E4 * d6 + _E5 * e6 + _E6 * g6 + _E7 * k7[5])
-        err = 0.0
-        for i in range(6):
-            q = h * err_vec[i] / (atol + rtol * max(abs(y[i]), abs(y_new[i])))
-            err += q * q
-        err = math.sqrt(err / 6.0)
+        q1 = h * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * g1 + _E7 * k1) / (
+            atol + rtol * max(abs(y1), abs(s1)))
+        q2 = h * (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * g2 + _E7 * k2) / (
+            atol + rtol * max(abs(y2), abs(s2)))
+        q3 = h * (_E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * g3 + _E7 * k3) / (
+            atol + rtol * max(abs(y3), abs(s3)))
+        q4 = h * (_E1 * a4 + _E3 * c4 + _E4 * d4 + _E5 * e4 + _E6 * g4 + _E7 * k4) / (
+            atol + rtol * max(abs(y4), abs(s4)))
+        q5 = h * (_E1 * a5 + _E3 * c5 + _E4 * d5 + _E5 * e5 + _E6 * g5 + _E7 * k5) / (
+            atol + rtol * max(abs(y5), abs(s5)))
+        q6 = h * (_E1 * a6 + _E3 * c6 + _E4 * d6 + _E5 * e6 + _E6 * g6 + _E7 * k6) / (
+            atol + rtol * max(abs(y6), abs(s6)))
+        err = math.sqrt((0.0 + q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4 + q5 * q5 + q6 * q6)
+                        / 6.0)
 
         if err <= 1.0:
             t_new = t + h
             # cubic Hermite over [t, t_new] using endpoint slopes
-            while filled < n_out and times[filled] <= t_new:
-                th = (float(times[filled]) - t) / h
+            while filled < n_out and ts[filled] <= t_new:
+                th = (ts[filled] - t) / h
                 h00 = (1.0 + 2.0 * th) * (1.0 - th) ** 2
                 h10 = th * (1.0 - th) ** 2 * h
                 h01 = th * th * (3.0 - 2.0 * th)
                 h11 = th * th * (th - 1.0) * h
-                for i in range(6):
-                    out[filled, i] = h00 * y[i] + h10 * f[i] + h01 * y_new[i] + h11 * k7[i]
+                rows.append((h00 * y1 + h10 * a1 + h01 * s1 + h11 * k1,
+                             h00 * y2 + h10 * a2 + h01 * s2 + h11 * k2,
+                             h00 * y3 + h10 * a3 + h01 * s3 + h11 * k3,
+                             h00 * y4 + h10 * a4 + h01 * s4 + h11 * k4,
+                             h00 * y5 + h10 * a5 + h01 * s5 + h11 * k5,
+                             h00 * y6 + h10 * a6 + h01 * s6 + h11 * k6))
                 filled += 1
             t = t_new
-            y = y_new
-            f = k7
+            y1, y2, y3, y4, y5, y6 = s1, s2, s3, s4, s5, s6
+            a1, a2, a3, a4, a5, a6 = k1, k2, k3, k4, k5, k6
             fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h = h * fac
         else:
             h = h * max(0.2, 0.9 * err ** -0.2)
 
-    while filled < n_out:   # guard against last-sample rounding
-        for i in range(6):
-            out[filled, i] = y[i]
-        filled += 1
-    return out, 0
+    # guard against last-sample rounding
+    rows.extend([(y1, y2, y3, y4, y5, y6)] * (n_out - filled))
+    return np.array(rows), 0
 
 
 _STATUS_MESSAGES = {

@@ -98,6 +98,19 @@ class TestAtomicWrite:
         assert path.read_text() == "two\n"
         assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]   # no temp debris
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_mode_matches_plain_open(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "atomic.txt", "x\n")
+            with open(tmp_path / "plain.txt", "w") as fh:
+                fh.write("x\n")
+        finally:
+            os.umask(previous)
+        mode = (tmp_path / "atomic.txt").stat().st_mode & 0o777
+        assert mode == (tmp_path / "plain.txt").stat().st_mode & 0o777
+        assert mode == 0o666 & ~umask
+
     def test_failure_leaves_no_partial_file(self, tmp_path):
         path = tmp_path / "f.txt"
 

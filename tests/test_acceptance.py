@@ -159,7 +159,7 @@ def test_accounting_and_monotonicity():
 
 
 @pytest.mark.skip(reason="too slow on the pure-Python DOPRI5 stepper: one seed takes "
-                         "~171 s, so ten seeds take ~1,710 s against the 300 s bound; "
+                         "~93 s, so ten seeds take ~930 s against the 300 s bound; "
                          "pending the lane-batched stepper (ROADMAP item 1)")
 def test_repressilator_recovery():
     started = time.perf_counter()

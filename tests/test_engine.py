@@ -1,5 +1,6 @@
 """Engine loop: accounting, determinism, seeding, traces."""
 
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -359,6 +360,31 @@ class TestRunRepeated:
         cfg = RunConfig(method=Method.REVDE, population_size=8, generations=5, f=0.5, seed=3)
         _, summary = run_repeated(cfg, Objective(rastrigin_batch, bounds), repeats=4)
         assert (np.diff(summary.mean) <= 1e-12).all()
+
+    def test_all_inf_repeats_have_zero_std(self, bounds, tmp_path):
+        # every solve failed in every repeat: numpy's std would be NaN and warn
+        cfg = RunConfig(method=Method.DE, population_size=4, generations=1, f=0.5, seed=0)
+        obj = Objective(lambda x: np.full(len(x), np.inf), bounds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, summary = run_repeated(cfg, obj, repeats=2)
+        assert (summary.mean == np.inf).all()
+        assert (summary.std == 0.0).all()
+        path = tmp_path / "summary.csv"
+        write_summary_csv(summary, path)
+        assert "nan" not in path.read_text()
+
+    def test_inf_beside_finite_has_infinite_std(self, bounds):
+        # DE, N=4, G=1: two batches per repeat.  Repeat 1 turns finite at its
+        # offspring, so those columns hold inf and 1.0; the others are all inf.
+        scores = iter([np.inf, np.inf, np.inf, 1.0, np.inf, np.inf])
+        obj = Objective(lambda x: np.full(len(x), next(scores)), bounds)
+        cfg = RunConfig(method=Method.DE, population_size=4, generations=1, f=0.5, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, summary = run_repeated(cfg, obj, repeats=3)
+        assert summary.std.tolist() == [0.0] * 4 + [np.inf] * 4
+        assert (summary.mean == np.inf).all()
 
     def test_repeats_validation(self, bounds):
         cfg = RunConfig(method=Method.DE, population_size=5, generations=2, f=0.5)

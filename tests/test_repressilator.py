@@ -2,11 +2,15 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import _reference_dopri5
+from revde import repressilator
 from revde.engine import BoxBounds
 from revde.repressilator import (
     DEFAULT_INITIAL_STATE,
@@ -359,6 +363,95 @@ class TestGolden:
             assert str(info.value) == case["error"]
         if "fit" in case:
             assert fit_value(case["params"], obs).hex() == case["fit"]
+
+
+class TestHillCutoff:
+    """Below ``_hill_cutoff(n)`` the stepper skips the log of the Hill guard.
+
+    That is sound only if n*log(p) <= 700 holds there for certain, so
+    that the guarded form would take alpha / (1 + p^n) as well.
+    """
+
+    @staticmethod
+    def floats_below(p_hi, count=8):
+        p = p_hi
+        for _ in range(count):
+            p = math.nextafter(p, 0.0)
+            yield p
+
+    @settings(max_examples=500, deadline=None)
+    @given(hn=st.floats(min_value=0.0, max_value=10.0, exclude_min=True))
+    @example(hn=699.0 / 709.0)
+    @example(hn=math.nextafter(699.0 / 709.0, math.inf))
+    @example(hn=5e-324)
+    @example(hn=10.0)
+    def test_guard_cannot_fire_below_cutoff(self, hn):
+        p_hi = repressilator._hill_cutoff(hn)
+        if p_hi == math.inf:
+            assert 699.0 / hn >= 709.0
+            below = [sys.float_info.max, *self.floats_below(sys.float_info.max)]
+        else:
+            assert 1.0 < p_hi < sys.float_info.max
+            below = list(self.floats_below(p_hi))
+        for p in below:
+            assert hn * math.log(p) <= 700.0
+            assert repressilator._hill(1000.0, hn, p) == 1000.0 / (1.0 + p ** hn)
+
+    def test_zero_n_has_no_cutoff(self):
+        assert repressilator._hill_cutoff(0.0) == math.inf
+        assert 0.0 * math.log(sys.float_info.max) <= 700.0
+
+    @pytest.mark.parametrize("hn", [-1.0, -5e-324, math.nan])
+    def test_negative_or_nan_n_takes_the_guard(self, hn):
+        assert repressilator._hill_cutoff(hn) == 0.0
+
+    def test_cutoff_is_where_the_guard_is_near(self):
+        # the fast path covers all but the last ~1/700 of log(p)'s range to the guard
+        for hn in (1.0, 2.0, 10.0):
+            p_hi = repressilator._hill_cutoff(hn)
+            assert 699.0 - 1e-9 < hn * math.log(p_hi) < 700.0
+
+
+def box_floats(lower, upper):
+    return st.tuples(*(st.floats(min_value=lo, max_value=hi)
+                       for lo, hi in zip(lower.tolist(), upper.tolist())))
+
+
+class TestReferenceStepper:
+    """The inlined stepper against the frozen tuple-based one, bit for bit."""
+
+    @staticmethod
+    def assert_same_as_reference(*args):
+        got, status = repressilator._dopri5(*args)
+        want, want_status = _reference_dopri5._dopri5(*args)
+        assert status == want_status
+        if status == 0:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    # anywhere in the default box, or within 10 % of the truth, where a fit
+    # spends most of its solves and each solve takes the most steps
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(params=st.one_of(
+        box_floats(DEFAULT_PARAM_BOUNDS.lower, DEFAULT_PARAM_BOUNDS.upper),
+        box_floats(TRUE_PARAMS.as_array() * 0.9, TRUE_PARAMS.as_array() * 1.1)))
+    def test_in_box_samples_bit_identical(self, params):
+        self.assert_same_as_reference(*params, DEFAULT_INITIAL_STATE,
+                                      default_observation_times(), 1e-6, 1e-8, 200_000)
+
+    @pytest.mark.parametrize("params, initial", [
+        # n = 0, no cutoff; proteins start at exactly 0, where the guard gives alpha
+        ((1.0, 0.0, 5.0, 1000.0), (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+        # n below 699/709, cutoff at infinity; p^n of a 1e300 protein stays finite
+        ((1.0, 0.98, 5.0, 1000.0), (0.0, 1e300, 0.0, 1.0, 0.0, 3.0)),
+        # a protein the guard collapses to 0, one below the cutoff, one below 0
+        ((1.0, 100.0, 5.0, 1000.0), (0.0, 1e30, 0.0, 1.0, 0.0, -1.0)),
+        ((0.0, 2.0, 0.0, 0.0), (2.0, 2.0, 1.0, 1.0, 3.0, 3.0)),     # pure decay
+        ((1.0, 2.0, 1e100, 1000.0), tuple(DEFAULT_INITIAL_STATE)),  # step underflow
+    ])
+    def test_guard_edges_bit_identical(self, params, initial):
+        self.assert_same_as_reference(*params, np.array(initial),
+                                      np.linspace(0.0, 10.0, 21), 1e-6, 1e-8, 20_000)
 
 
 class TestScipyOracle:
