@@ -439,6 +439,10 @@ def run_experiment(config: ExperimentConfig) -> int:
             def make_objective():
                 return rep_mod.make_fit_objective(obs, bounds=bounds)
 
+            # processes the fit spreads the largest generation's batch over
+            manifest["fit_processes"] = rep_mod.fit_processes(max(
+                config.population_size * m.offspring_per_slot for m in config.methods))
+
             results = _run_method_suite(
                 config, make_objective, outdir, manifest, keep_history=True
             )

@@ -3,8 +3,10 @@
 The engine owns all randomness (a numpy Generator seeded from the run
 config), batches offspring construction per generation, and records a
 best-so-far trace entry for every single objective evaluation.  Each
-batch goes to the evaluator in one serial call; the MLP objective's
-matrix products run on BLAS threads.
+batch goes to the evaluator in one call.  The repressilator objective
+splits it over forked processes, one per usable CPU (``taskset -c 0``
+runs it serially); the MLP objective's matrix products run on BLAS
+threads.
 """
 
 from __future__ import annotations
@@ -232,7 +234,7 @@ def _sample_slot_indices(n: int, per_slot: int, rng: np.random.Generator) -> np.
     """
     idx = np.empty((n, per_slot), dtype=np.int64)
     for j in range(per_slot):
-        taken = np.sort(idx[:, :j], axis=1)
+        taken = idx[:, :j] if j < 2 else np.sort(idx[:, :j], axis=1)
         r = rng.integers(0, n - j, size=n)
         for c in range(j):
             r += r >= taken[:, c]

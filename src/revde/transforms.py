@@ -280,21 +280,15 @@ def select_survivors(
     if n is None:
         n = old.size
 
+    # the pool holds parents then offspring, each in index order, so a
+    # stable sort breaks ties by origin and then index
     pool_values = np.concatenate([old.values, offspring_values])
-    origin = np.concatenate(
-        [np.zeros(old.size, dtype=np.int64), np.ones(offspring.shape[0], dtype=np.int64)]
-    )
-    index = np.concatenate(
-        [np.arange(old.size), np.arange(offspring.shape[0])]
-    )
-    # lexsort's last key is the primary one
-    order = np.lexsort((index, origin, pool_values))
-    chosen = np.sort(order[:n])
+    chosen = np.sort(np.argsort(pool_values, kind="stable")[:n])
 
     pool_members = np.concatenate([old.members, offspring])
     return Population(
-        members=pool_members[chosen].copy(),
-        values=pool_values[chosen].copy(),
+        members=pool_members[chosen],
+        values=pool_values[chosen],
         generation=old.generation + 1,
     )
 

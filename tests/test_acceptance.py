@@ -159,7 +159,8 @@ def test_accounting_and_monotonicity():
 
 
 @pytest.mark.skip(reason="too slow on the pure-Python DOPRI5 stepper: one seed takes "
-                         "~93 s, so ten seeds take ~930 s against the 300 s bound; "
+                         "~49 s split over 2 CPUs (~89 s serially under taskset -c 0), "
+                         "so ten seeds take ~490 s against the 300 s bound; "
                          "pending the lane-batched stepper (ROADMAP item 1)")
 def test_repressilator_recovery():
     started = time.perf_counter()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revde import cli, mlp
+from revde import cli, mlp, repressilator
 from revde.benchmarks import BENCHMARK_NAMES
 from revde.cli import ConfigError, ExperimentConfig, main, parse_config
 from revde.engine import Method, RunConfig, run_repeated
@@ -469,6 +469,20 @@ class TestRunRepressilator:
         best = manifest["runs"]["revde"]["best_params"]
         assert len(best) == 4
         assert 0.01 <= best[0] <= 10.0 and 1.0 <= best[3] <= 2000.0
+
+    @pytest.mark.parametrize("cpus, methods, n, expected", [
+        (1, "revde", 8, 1), (2, "revde", 8, 2), (64, "de", 4, 4), (64, "de,revde", 4, 12),
+    ])
+    def test_manifest_records_fit_processes(self, tmp_path, monkeypatch,
+                                            cpus, methods, n, expected):
+        monkeypatch.setattr(repressilator, "_usable_cpus", lambda: cpus)
+        cfg = write_config(tmp_path, f"problem = repressilator\nmethods = {methods}\n"
+                                     f"n = {n}\ngenerations = 1\nrepeats = 1\n"
+                                     "obs_count = 6\nobs_end = 6\n")
+        outdir = tmp_path / "out"
+        assert run_cli("run", cfg, "--output-dir", outdir) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["fit_processes"] == expected
 
     def test_observations_file_round_trip(self, tmp_path):
         cfg = write_config(

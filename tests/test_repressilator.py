@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -275,6 +276,119 @@ class TestFitObjective:
         perm = rng.permutation(6)
         obj = make_fit_objective(clean_obs)
         assert np.array_equal(obj.evaluate(cands)[perm], obj.evaluate(cands[perm]))
+
+
+class TestProcessSplit:
+    """The fit batch dealt over forked processes, one per usable CPU.
+
+    Each test sets the CPU count, so the split runs on a 1-CPU machine
+    too.  After every batch no child may be left: ``os.waitpid(-1,
+    WNOHANG)`` raises ``ChildProcessError`` only when none exists.
+    """
+
+    @pytest.fixture(scope="class")
+    def cands(self):
+        rng = np.random.default_rng(11)
+        return rng.uniform([0.1, 1.0, 1.0, 100.0], [3.0, 3.0, 8.0, 1500.0], size=(5, 4))
+
+    @staticmethod
+    def set_cpus(monkeypatch, cpus):
+        monkeypatch.setattr(repressilator, "_usable_cpus", lambda: cpus)
+
+    @staticmethod
+    def assert_no_children():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def raise_on(monkeypatch, marker, exc=ZeroDivisionError, only_in_children=False):
+        """Make the solve of any row whose alpha0 is ``marker`` raise ``exc``."""
+        solve, parent = repressilator._dopri5, os.getpid()
+
+        def failing(a0, *args):
+            if a0 == marker and not (only_in_children and os.getpid() == parent):
+                raise exc("planted")
+            return solve(a0, *args)
+
+        monkeypatch.setattr(repressilator, "_dopri5", failing)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_values_byte_identical(self, monkeypatch, clean_obs, cands, k):
+        batch = make_fit_objective(clean_obs).batch_fn
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        values = {}
+        for cpus in (1, 2, 3):
+            self.set_cpus(monkeypatch, cpus)
+            forks.clear()
+            values[cpus] = batch(cands[:k])
+            assert len(forks) == max(0, min(cpus, k) - 1)
+            assert values[cpus].dtype == np.float64 and values[cpus].shape == (k,)
+            self.assert_no_children()
+        assert values[2].tobytes() == values[1].tobytes() == values[3].tobytes()
+
+    def test_processes_per_batch(self, monkeypatch):
+        self.set_cpus(monkeypatch, 3)
+        assert [repressilator.fit_processes(k) for k in (0, 1, 2, 3, 600)] == [0, 1, 2, 3, 3]
+        monkeypatch.delattr(os, "fork")
+        assert repressilator.fit_processes(600) == 1
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_child_exception_is_the_serial_one(self, monkeypatch, clean_obs, cands, cpus):
+        self.raise_on(monkeypatch, cands[1, 0])    # row 1 is in child 1's share
+        batch = make_fit_objective(clean_obs).batch_fn
+        self.set_cpus(monkeypatch, 1)
+        with pytest.raises(ZeroDivisionError):
+            batch(cands[:3])
+        self.set_cpus(monkeypatch, cpus)
+        with pytest.raises(ZeroDivisionError):
+            batch(cands[:3])
+        self.assert_no_children()
+
+    def test_failed_child_share_scored_in_process(self, monkeypatch, clean_obs, cands):
+        batch = make_fit_objective(clean_obs).batch_fn
+        self.set_cpus(monkeypatch, 1)
+        serial = batch(cands)
+        self.raise_on(monkeypatch, cands[1, 0], exc=KeyboardInterrupt, only_in_children=True)
+        self.set_cpus(monkeypatch, 2)
+        assert batch(cands).tobytes() == serial.tobytes()
+        self.assert_no_children()
+
+    def test_short_child_data_scored_in_process(self, monkeypatch):
+        parent = os.getpid()
+
+        def score(rows):   # a child that exits 0 but sends one value short
+            values = np.array(rows, dtype=float)
+            return values if os.getpid() == parent else values[:-1]
+
+        self.set_cpus(monkeypatch, 2)
+        assert repressilator._split_rows(score, list(range(5))).tolist() == list(range(5))
+        self.assert_no_children()
+
+    def test_fork_failure_scored_in_process(self, monkeypatch, clean_obs, cands):
+        batch = make_fit_objective(clean_obs).batch_fn
+        self.set_cpus(monkeypatch, 1)
+        serial = batch(cands)
+
+        def no_fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        self.set_cpus(monkeypatch, 3)
+        assert batch(cands).tobytes() == serial.tobytes()
+
+    def test_parent_exception_reaps_every_child(self, monkeypatch, clean_obs, cands):
+        self.raise_on(monkeypatch, cands[0, 0], exc=KeyError)   # the parent's share
+        self.set_cpus(monkeypatch, 3)
+        with pytest.raises(KeyError):
+            make_fit_objective(clean_obs).batch_fn(cands)
+        self.assert_no_children()
 
 
 class TestCsvInterchange:
