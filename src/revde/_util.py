@@ -51,7 +51,10 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    except OSError as exc:   # name the file asked for, not the temp file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         umask = os.umask(0)
         os.umask(umask)

@@ -80,9 +80,7 @@ def _cast_float(raw: str) -> float:
         raise ValueError(f"expected a number, got {raw!r}") from None
 
 
-def _cast_methods(raw) -> tuple:
-    if isinstance(raw, (list, tuple)):
-        return tuple(raw)
+def _cast_methods(raw: str) -> tuple:
     val = raw.strip().lower()
     if val == "all":
         return METHOD_ORDER
@@ -97,9 +95,7 @@ def _cast_methods(raw) -> tuple:
     return tuple(out)
 
 
-def _cast_pair(raw) -> tuple:
-    if isinstance(raw, tuple):
-        return raw
+def _cast_pair(raw: str) -> tuple:
     parts = raw.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected 'low,high', got {raw!r}")
@@ -306,7 +302,7 @@ def _run_config(config: ExperimentConfig, method: Method) -> RunConfig:
 
 def _write_combined_summary(summaries: dict, path) -> None:
     """One CSV aligned on raw evaluation index across all methods."""
-    total = int(max(s.evaluation_index[-1] for s in summaries.values()))
+    total = max(s.mean.size for s in summaries.values())
     header = ["evaluation"]
     columns = [map(str, range(1, total + 1))]
     for m, s in summaries.items():
@@ -408,16 +404,14 @@ def run_experiment(config: ExperimentConfig) -> int:
             bounds = BoxBounds(bench.lower, bench.upper)
 
             def make_objective():
-                return Objective(bench.batch, bounds, name=bench.name)
+                return Objective(bench.batch, bounds)
 
             _run_method_suite(config, make_objective, outdir, manifest)
 
         elif config.problem == "repressilator":
             times = np.linspace(0.0, config.obs_end, config.obs_count)
             if config.observations:
-                obs = rep_mod.read_observations_csv(
-                    config.observations, noise_std=config.noise_std
-                )
+                obs = rep_mod.read_observations_csv(config.observations)
             else:
                 obs_rng = np.random.default_rng(
                     np.random.SeedSequence([config.seed, OBS_SEED_TAG])
@@ -530,23 +524,20 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "analyze":
+    # a bad config or argument, or an output path that cannot be written
+    try:
+        if args.command == "run":
+            overrides = {key: value for key, value in vars(args).items() if key in _FIELDS}
+            return run_experiment(parse_config(args.config, overrides))
         if not (math.isfinite(args.f_step) and args.f_step > 0):
-            print("error: --f-step must be positive and finite", file=sys.stderr)
-            return 1
+            raise ConfigError("--f-step must be positive and finite")
         if not (math.isfinite(args.f_max) and args.f_max >= args.f_step):
-            print("error: --f-max must be finite and at least one --f-step", file=sys.stderr)
-            return 1
+            raise ConfigError("--f-max must be finite and at least one --f-step")
         _write_eigen_csv(args.out, args.f_max, args.f_step)
         return 0
-
-    overrides = {key: value for key, value in vars(args).items() if key in _FIELDS}
-    try:
-        config = parse_config(args.config, overrides)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run_experiment(config)
 
 
 if __name__ == "__main__":

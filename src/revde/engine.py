@@ -12,7 +12,6 @@ threads.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
@@ -42,7 +41,6 @@ __all__ = [
     "run",
     "run_repeated",
     "write_trace_csv",
-    "write_summary_csv",
 ]
 
 
@@ -107,10 +105,6 @@ class BoxBounds:
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=np.float64)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
 
 class Objective:
     """Black-box objective over a bounded search space.
@@ -122,15 +116,9 @@ class Objective:
     call, so it may be replaced after construction (timing wrappers do).
     """
 
-    def __init__(
-        self,
-        batch_fn: Callable[[np.ndarray], np.ndarray],
-        bounds: BoxBounds,
-        name: str = "objective",
-    ):
+    def __init__(self, batch_fn: Callable[[np.ndarray], np.ndarray], bounds: BoxBounds):
         self.batch_fn = batch_fn
         self.bounds = bounds
-        self.name = name
         self.evaluation_counter = 0
         self.nan_evaluations = 0
 
@@ -188,14 +176,10 @@ class RunConfig:
 
 @dataclass
 class RunTrace:
-    """Per-evaluation best-so-far record for one run."""
+    """Per-evaluation best-so-far record for one run; entry i is evaluation i+1."""
 
-    evaluation_index: np.ndarray
     best_objective: np.ndarray
     final_population: Population
-    wall_time: float
-    method: Method
-    seed: int
     evaluations: int
     nan_evaluations: int
     # (generation, members copy, values copy) per generation when requested
@@ -210,10 +194,8 @@ class RunTrace:
 class RunSummary:
     """Mean/std of best-so-far across repeats, aligned on evaluation index."""
 
-    evaluation_index: np.ndarray
     mean: np.ndarray
     std: np.ndarray
-    repeats: int
 
 
 def initialize_population(bounds: BoxBounds, n: int, rng: np.random.Generator) -> Population:
@@ -280,7 +262,6 @@ def run(
     keep_history: bool = False,
 ) -> RunTrace:
     """Execute G generations and return the full evaluation trace."""
-    started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     counter_before = objective.evaluation_counter
     nan_before = objective.nan_evaluations
@@ -317,12 +298,8 @@ def run(
 
     assert cursor == total
     return RunTrace(
-        evaluation_index=np.arange(1, total + 1, dtype=np.int64),
         best_objective=best_stream,
         final_population=population,
-        wall_time=time.perf_counter() - started,
-        method=config.method,
-        seed=config.seed,
         evaluations=objective.evaluation_counter - counter_before,
         nan_evaluations=objective.nan_evaluations - nan_before,
         history=history,
@@ -347,25 +324,11 @@ def run_repeated(
         std = stacked.std(axis=0)
     nan = np.isnan(std)
     std[nan] = np.where((stacked[:, nan] == stacked[0, nan]).all(axis=0), 0.0, np.inf)
-    summary = RunSummary(
-        evaluation_index=traces[0].evaluation_index,
-        mean=stacked.mean(axis=0),
-        std=std,
-        repeats=repeats,
-    )
-    return traces, summary
+    return traces, RunSummary(mean=stacked.mean(axis=0), std=std)
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:
     write_csv_columns(path, "evaluation,best_objective", [
-        map(str, trace.evaluation_index.tolist()),
+        map(str, range(1, trace.best_objective.size + 1)),
         fmt_column(trace.best_objective),
-    ])
-
-
-def write_summary_csv(summary: RunSummary, path) -> None:
-    write_csv_columns(path, "evaluation,mean,std", [
-        map(str, summary.evaluation_index.tolist()),
-        fmt_column(summary.mean),
-        fmt_column(summary.std),
     ])

@@ -284,10 +284,7 @@ def prepare_dataset(
     return ImageDataset(images=images, labels=labels)
 
 
-def make_error_objective(
-    dataset: ImageDataset,
-    bounds: BoxBounds = DEFAULT_WEIGHT_BOUNDS,
-) -> Objective:
+def make_error_objective(dataset: ImageDataset) -> Objective:
     """Engine-facing objective: candidate weights -> training error."""
     if dataset.pixels != SHAPE.input_dim:
         raise ValueError("prepare_dataset must be applied before optimization")
@@ -295,4 +292,4 @@ def make_error_objective(
     def batch(x: np.ndarray) -> np.ndarray:
         return classification_error_batch(x, dataset)
 
-    return Objective(batch, bounds, name="mlp_error")
+    return Objective(batch, DEFAULT_WEIGHT_BOUNDS)

@@ -15,8 +15,9 @@ to the array form.  Stages k2..k7 evaluate the rate equations inline on
 named locals, which saves a call and a 6-tuple per stage and makes a
 solve another ~1.5x faster, still bit-identical.  One stepper serves
 ``integrate``, ``generate_observations`` and the batch fit objective of
-``make_fit_objective``; ``_rhs`` gives ``derivatives`` and the
-stepper's first slope and initial step guess.
+``make_fit_objective``, all at the tolerances and default step budget
+of ``_SOLVE``; ``_rhs`` gives the stepper's first slope and initial
+step guess.
 
 Numerical guards of the right-hand side:
   - p <= 0: p^n clamped to 0 (the Hill term saturates to alpha);
@@ -63,7 +64,6 @@ __all__ = [
     "DEFAULT_INITIAL_STATE",
     "DEFAULT_PARAM_BOUNDS",
     "default_observation_times",
-    "derivatives",
     "integrate",
     "generate_observations",
     "make_fit_objective",
@@ -127,7 +127,6 @@ class ObservationSet:
 
     times: np.ndarray
     mrna: np.ndarray
-    noise_std: float = 0.0
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
@@ -144,22 +143,12 @@ class ObservationSet:
             raise ValueError(f"times must start at or after 0, got {times[0]}")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "mrna", mrna)
 
     @property
     def count(self) -> int:
         return self.times.size
-
-
-def derivatives(state, params) -> np.ndarray:
-    """Right-hand sides of the six rate equations at one state."""
-    s = np.asarray(state, dtype=np.float64)
-    if s.shape != (6,):
-        raise ValueError(f"state must have 6 entries (m1,p1,m2,p2,m3,p3), got {s.shape}")
-    return np.array(_rhs(*_as_params_tuple(params), tuple(s.tolist())))
 
 
 # ----------------------------------------------------------------------
@@ -432,36 +421,22 @@ _STATUS_MESSAGES = {
 }
 
 
-def _as_params_tuple(params) -> tuple:
-    if isinstance(params, RepressilatorParams):
-        return params.alpha0, params.n, params.beta, params.alpha
-    p = RepressilatorParams.from_array(params)
-    return p.alpha0, p.n, p.beta, p.alpha
+# rtol, atol and step budget of every solve; integrate may set its own budget
+_SOLVE = (1e-6, 1e-8, 200_000)
 
 
-def _initial_state(initial) -> np.ndarray:
-    y0 = DEFAULT_INITIAL_STATE if initial is None else np.asarray(initial, dtype=np.float64)
-    if y0.shape != (6,):
-        raise ValueError(f"initial state must have 6 entries, got shape {y0.shape}")
-    return y0
-
-
-def integrate(
-    params,
-    initial=None,
-    times=None,
-    rtol: float = 1e-6,
-    atol: float = 1e-8,
-    max_steps: int = 200_000,
-) -> np.ndarray:
+def integrate(params, initial=None, times=None, max_steps: int = _SOLVE[2]) -> np.ndarray:
     """Solve the six rate equations from t=0, sampled at ``times``.
 
     ``params`` may be a RepressilatorParams or a length-4 array
     (alpha0, n, beta, alpha).  Raises IntegrationError when the adaptive
     stepper fails; callers fitting parameters map that to +inf.
     """
-    a0, hn, bb, aa = _as_params_tuple(params)
-    y0 = _initial_state(initial)
+    if not isinstance(params, RepressilatorParams):
+        params = RepressilatorParams.from_array(params)
+    y0 = DEFAULT_INITIAL_STATE if initial is None else np.asarray(initial, dtype=np.float64)
+    if y0.shape != (6,):
+        raise ValueError(f"initial state must have 6 entries, got shape {y0.shape}")
     t = default_observation_times() if times is None else np.asarray(times, dtype=np.float64)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a non-empty 1-D vector")
@@ -469,9 +444,8 @@ def integrate(
         raise ValueError(f"times must start at or after 0, got {t[0]}")
     if np.any(np.diff(t) <= 0):
         raise ValueError("times must be strictly increasing")
-    if not (atol > 0.0 and rtol >= 0.0):
-        raise ValueError(f"need atol > 0 and rtol >= 0, got rtol={rtol}, atol={atol}")
-    out, status = _dopri5(a0, hn, bb, aa, y0, t, rtol, atol, int(max_steps))
+    out, status = _dopri5(params.alpha0, params.n, params.beta, params.alpha, y0, t,
+                          *_SOLVE[:2], int(max_steps))
     if status != 0:
         raise IntegrationError(_STATUS_MESSAGES.get(status, f"status {status}"))
     return out
@@ -492,11 +466,7 @@ def generate_observations(
         rng = np.random.default_rng()
     trajectory = integrate(true_params, initial=initial, times=times)
     mrna = trajectory[:, (0, 2, 4)] + rng.normal(0.0, noise_std, size=(times.size, 3))
-    return ObservationSet(times=times, mrna=mrna, noise_std=noise_std)
-
-
-# rtol, atol and step budget of every solve in a fit: integrate's defaults
-_FIT_SOLVE = (1e-6, 1e-8, 200_000)
+    return ObservationSet(times=times, mrna=mrna)
 
 
 def _mrna_distance(samples: np.ndarray, status: int, target: np.ndarray) -> float:
@@ -513,28 +483,29 @@ def _mrna_distance(samples: np.ndarray, status: int, target: np.ndarray) -> floa
 
 
 def make_fit_objective(
-    obs: ObservationSet,
-    initial=None,
-    bounds: BoxBounds = DEFAULT_PARAM_BOUNDS,
+    obs: ObservationSet, bounds: BoxBounds = DEFAULT_PARAM_BOUNDS
 ) -> Objective:
-    """Engine-facing batch objective over (alpha0, n, beta, alpha)."""
+    """Engine-facing batch objective over (alpha0, n, beta, alpha).
+
+    Every candidate is solved from ``DEFAULT_INITIAL_STATE``.
+    """
     if np.any(bounds.lower < 0):
         raise ValueError(f"parameters are non-negative, but the box reaches down to "
                          f"{bounds.lower.tolist()}")
-    y0 = _initial_state(initial)
+    y0 = DEFAULT_INITIAL_STATE
     times = obs.times
     target = obs.mrna
 
     def losses(rows: list) -> np.ndarray:
         return np.array([
-            _mrna_distance(*_dopri5(a0, hn, bb, aa, y0, times, *_FIT_SOLVE), target)
+            _mrna_distance(*_dopri5(a0, hn, bb, aa, y0, times, *_SOLVE), target)
             for a0, hn, bb, aa in rows
         ])
 
     def batch(x: np.ndarray) -> np.ndarray:
         return _split_rows(losses, x.tolist())
 
-    return Objective(batch, bounds, name="repressilator")
+    return Objective(batch, bounds)
 
 
 # ----------------------------------------------------------------------
@@ -602,13 +573,14 @@ def write_observations_csv(obs: ObservationSet, path) -> None:
     write_csv_columns(path, "t,m1,m2,m3", [fmt_column(obs.times), *map(fmt_column, obs.mrna.T)])
 
 
-def read_observations_csv(path, noise_std: float = 0.0) -> ObservationSet:
+def read_observations_csv(path) -> ObservationSet:
+    """Observations from a ``t,m1,m2,m3`` CSV; errors name the file's own line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "t,m1,m2,m3":
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or lines[0][1] != "t,m1,m2,m3":
         raise ValueError(f"{path}: expected header 't,m1,m2,m3'")
     times, rows = [], []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 4:
             raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
@@ -620,9 +592,7 @@ def read_observations_csv(path, noise_std: float = 0.0) -> ObservationSet:
             raise ValueError(f"{path}:{lineno}: non-finite field")
         times.append(nums[0])
         rows.append(nums[1:])
-    return ObservationSet(
-        times=np.array(times), mrna=np.array(rows), noise_std=noise_std
-    )
+    return ObservationSet(times=np.array(times), mrna=np.array(rows))
 
 
 def write_param_history_csv(history, path) -> None:

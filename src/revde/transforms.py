@@ -253,15 +253,12 @@ def repair_bounds(x, lower, upper) -> np.ndarray:
 
 
 def select_survivors(
-    old: Population,
-    offspring: np.ndarray,
-    offspring_values: np.ndarray,
-    n: int | None = None,
+    old: Population, offspring: np.ndarray, offspring_values: np.ndarray
 ) -> Population:
     """Deterministic survivor selection over parents plus offspring.
 
-    Keeps the ``n`` candidates with the lowest objective value from the
-    combined pool.  Ties prefer old-population members, then lower index;
+    Keeps the ``old.size`` candidates with the lowest objective value
+    from the combined pool.  Ties prefer old-population members, then lower index;
     survivors are emitted in stable pool order, so a population whose
     offspring are all worse comes back unchanged.
     """
@@ -277,13 +274,11 @@ def select_survivors(
         raise ValueError("every offspring needs a cached objective value")
     if np.any(np.isnan(old.values)) or np.any(np.isnan(offspring_values)):
         raise ValueError("NaN objective value in selection pool (map to +inf first)")
-    if n is None:
-        n = old.size
 
     # the pool holds parents then offspring, each in index order, so a
     # stable sort breaks ties by origin and then index
     pool_values = np.concatenate([old.values, offspring_values])
-    chosen = np.sort(np.argsort(pool_values, kind="stable")[:n])
+    chosen = np.sort(np.argsort(pool_values, kind="stable")[:old.size])
 
     pool_members = np.concatenate([old.members, offspring])
     return Population(

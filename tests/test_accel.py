@@ -1,6 +1,8 @@
-"""The shared helpers of ``revde._util`` and the kernel timing script.
+"""The shared helpers of ``revde._util``, the CSV writers built on them,
+and the kernel timing script.
 
-Float and column formatting, atomic writes, and a smoke run of
+Float and column formatting, the trace and combined summary CSVs of
+``revde run``, atomic writes, and a smoke run of
 ``bench/compare_backends.py`` from a checkout.
 """
 
@@ -15,7 +17,7 @@ from hypothesis import given, strategies as st
 
 from revde._util import atomic_write_text, fmt_column, fmt_float
 from revde.cli import _write_combined_summary
-from revde.engine import Method, RunSummary, RunTrace, write_summary_csv, write_trace_csv
+from revde.engine import Method, RunSummary, RunTrace, write_trace_csv
 
 
 class TestFmtFloat:
@@ -60,23 +62,24 @@ class TestFmtColumn:
 
     def test_trace_and_summary_csv_byte_identical(self, tmp_path):
         index = np.arange(1, EDGE_COLUMN.size + 1)
-        trace = RunTrace(index, EDGE_COLUMN, None, 0.0, Method.DE, 0, index.size, 0)
+        trace = RunTrace(EDGE_COLUMN, None, index.size, 0)
         write_trace_csv(trace, tmp_path / "trace.csv")
         lines = [f"{i},{fmt_float(v)}" for i, v in zip(index, EDGE_COLUMN)]
         assert (tmp_path / "trace.csv").read_text() == \
             "\n".join(["evaluation,best_objective", *lines]) + "\n"
 
         std = EDGE_COLUMN[::-1].copy()
-        write_summary_csv(RunSummary(index, EDGE_COLUMN, std, 2), tmp_path / "summary.csv")
+        summary = {Method.DE: RunSummary(EDGE_COLUMN, std)}
+        _write_combined_summary(summary, tmp_path / "summary.csv")
         lines = [f"{i},{fmt_float(m)},{fmt_float(s)}" for i, m, s in zip(index, EDGE_COLUMN, std)]
         assert (tmp_path / "summary.csv").read_text() == \
-            "\n".join(["evaluation,mean,std", *lines]) + "\n"
+            "\n".join(["evaluation,de_mean,de_std", *lines]) + "\n"
 
     def test_ragged_combined_summary_byte_identical(self, tmp_path):
         long, short = EDGE_COLUMN, EDGE_COLUMN[:7]
         summaries = {
-            Method.REVDE: RunSummary(np.arange(1, short.size + 1), short, -short, 1),
-            Method.DE: RunSummary(np.arange(1, long.size + 1), long, long[::-1], 3),
+            Method.REVDE: RunSummary(short, -short),
+            Method.DE: RunSummary(long, long[::-1]),
         }
         path = tmp_path / "summary.csv"
         _write_combined_summary(summaries, path)

@@ -596,6 +596,22 @@ class TestFailures:
         assert "FileNotFoundError" in manifest["error"]
         assert "error" in capsys.readouterr().err
 
+    def test_analyze_out_in_missing_dir(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "eigen.csv"
+        assert run_cli("analyze", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{out}'" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("under", [False, True], ids=["is-file", "under-file"])
+    def test_output_dir_blocked_by_file(self, tmp_path, capsys, under):
+        cfg = write_config(tmp_path, "problem = rastrigin\n")
+        plain = tmp_path / "plain"
+        plain.write_text("x\n")
+        assert run_cli("run", cfg, "--output-dir", plain / "out" if under else plain) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert plain.read_text() == "x\n"
+
     def test_argparse_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["run"])

@@ -21,7 +21,6 @@ from revde.repressilator import (
     ObservationSet,
     RepressilatorParams,
     default_observation_times,
-    derivatives,
     generate_observations,
     integrate,
     make_fit_objective,
@@ -63,39 +62,43 @@ class TestParams:
             RepressilatorParams.from_array([1.0, 2.0, 5.0])
 
 
+def rates(state, params=TRUE_PARAMS):
+    """The stepper's right-hand side ``_rhs`` at one state."""
+    return repressilator._rhs(params.alpha0, params.n, params.beta, params.alpha, state)
+
+
 class TestDerivatives:
     def test_known_state_exact(self):
         # alpha/(1+p^2) is exact at p=3,2,1: 100, 200, 500
-        d = derivatives(y0_default(), TRUE_PARAMS)
-        assert d.tolist() == [101.0, -10.0, 201.0, -5.0, 501.0, -15.0]
+        assert rates(tuple(DEFAULT_INITIAL_STATE)) == (101.0, -10.0, 201.0, -5.0, 501.0, -15.0)
 
     def test_accepts_plain_sequence_params(self):
-        d = derivatives(y0_default(), (1.0, 2.0, 5.0, 1000.0))
-        assert d.tolist() == [101.0, -10.0, 201.0, -5.0, 501.0, -15.0]
+        # numpy scalars, as a fit's rows would give them, rate the same as floats
+        d = repressilator._rhs(*np.array([1.0, 2.0, 5.0, 1000.0]), tuple(DEFAULT_INITIAL_STATE))
+        assert [float(v) for v in d] == [101.0, -10.0, 201.0, -5.0, 501.0, -15.0]
 
     def test_protein_rate_zero_at_equilibrium(self):
-        d = derivatives([1.0, 1.0, 2.0, 2.0, 3.0, 3.0], TRUE_PARAMS)
+        d = rates((1.0, 1.0, 2.0, 2.0, 3.0, 3.0))
         assert d[1] == 0.0 and d[3] == 0.0 and d[5] == 0.0
 
     def test_repression_wiring(self):
         # only p3 feeds m1, only p1 feeds m2, only p2 feeds m3
-        base = derivatives([0.0, 0.0, 0.0, 0.0, 0.0, 0.0], TRUE_PARAMS)
-        bump_p3 = derivatives([0.0, 0.0, 0.0, 0.0, 0.0, 10.0], TRUE_PARAMS)
+        base = rates((0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        bump_p3 = rates((0.0, 0.0, 0.0, 0.0, 0.0, 10.0))
         assert bump_p3[0] != base[0]
         assert bump_p3[2] == base[2] and bump_p3[4] == base[4]
 
     def test_nonpositive_protein_clamps_to_full_rate(self):
-        d = derivatives([1.0, 5.0, 0.0, 0.0, 0.0, 0.0], TRUE_PARAMS)
+        d = rates((1.0, 5.0, 0.0, 0.0, 0.0, 0.0))
         assert d[0] == -1.0 + 1000.0 + 1.0
 
     def test_huge_protein_suppresses_fully(self):
-        d = derivatives([1.0, 0.0, 0.0, 0.0, 0.0, 1e30],
-                        RepressilatorParams(1.0, 100.0, 5.0, 1000.0))
+        d = rates((1.0, 0.0, 0.0, 0.0, 0.0, 1e30), RepressilatorParams(1.0, 100.0, 5.0, 1000.0))
         assert d[0] == 0.0   # p**n would overflow; repression saturates
 
     def test_rejects_wrong_state_shape(self):
         with pytest.raises(ValueError):
-            derivatives([1.0, 2.0, 3.0], TRUE_PARAMS)
+            rates((1.0, 2.0, 3.0))
 
 
 class TestIntegrate:
@@ -133,7 +136,10 @@ class TestIntegrate:
     def test_halving_tolerances_is_converged(self):
         t = default_observation_times()
         base = integrate(TRUE_PARAMS, y0_default(), t)
-        half = integrate(TRUE_PARAMS, y0_default(), t, rtol=5e-7, atol=5e-9)
+        rtol, atol, max_steps = repressilator._SOLVE
+        half, status = repressilator._dopri5(*TRUE_PARAMS.as_array(), y0_default(), t,
+                                             rtol / 2, atol / 2, max_steps)
+        assert status == 0
         rel = np.abs(base - half) / np.maximum(np.abs(half), 1.0)
         assert rel.max() < 1e-4
 
@@ -164,11 +170,6 @@ class TestIntegrate:
             integrate(huge)
         assert fit_value(huge.as_array(), ObservationSet(default_observation_times(),
                                                          np.zeros((40, 3)))) == math.inf
-
-    def test_tolerance_validation(self):
-        for rtol, atol in ((1e-6, 0.0), (1e-6, -1e-8), (-1e-6, 1e-8), (1e-6, math.nan)):
-            with pytest.raises(ValueError, match="atol"):
-                integrate(TRUE_PARAMS, rtol=rtol, atol=atol)
 
 
 class TestObservations:
@@ -202,8 +203,6 @@ class TestObservations:
             ObservationSet(t, np.zeros((2, 3)))
         with pytest.raises(ValueError):
             ObservationSet(t, np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            ObservationSet(t, good, noise_std=-1.0)
         with pytest.raises(ValueError, match="at or after 0"):   # fits integrate from t = 0
             ObservationSet(t - 1.0, good)
         assert ObservationSet(t, good).count == 3
@@ -237,10 +236,6 @@ class TestFitObjective:
                                  clean_obs.mrna + np.array([3.0, 4.0, 0.0]))
         assert fit_value(TRUE_PARAMS.as_array(), shifted) == 5.0
 
-    def test_integration_failure_maps_to_inf(self, clean_obs):
-        stiff = RepressilatorParams(1.0, 2.0, 1e6, 1000.0)
-        assert fit_value(stiff.as_array(), clean_obs) == math.inf
-
     def test_batch_matches_scalar(self, clean_obs):
         cands = np.array([
             [1.0, 2.0, 5.0, 1000.0],
@@ -256,10 +251,6 @@ class TestFitObjective:
         for c, value in zip(cands, batch):
             sim = integrate(c, times=clean_obs.times)[:, (0, 2, 4)]
             assert value == np.mean(np.sqrt(np.sum((clean_obs.mrna - sim) ** 2, axis=1)))
-
-    def test_batch_rejects_wrong_initial_state(self, clean_obs):
-        with pytest.raises(ValueError, match="6 entries"):
-            make_fit_objective(clean_obs, initial=[1.0, 2.0, 3.0])
 
     def test_box_below_zero_rejected(self, clean_obs):
         below = BoxBounds(lower=np.array([-5.0, -3.0, 0.1, 1.0]),
@@ -397,7 +388,7 @@ class TestCsvInterchange:
                                     rng=np.random.default_rng(2))
         path = tmp_path / "obs.csv"
         write_observations_csv(obs, path)
-        back = read_observations_csv(path, noise_std=obs.noise_std)
+        back = read_observations_csv(path)
         assert np.array_equal(back.times, obs.times)
         assert np.array_equal(back.mrna, obs.mrna)
 
@@ -417,6 +408,15 @@ class TestCsvInterchange:
         path = tmp_path / "bad.csv"
         path.write_text("t,m1,m2,m3\n0,1,two,3\n")
         with pytest.raises(ValueError, match=":2"):
+            read_observations_csv(path)
+
+    def test_blank_lines_keep_file_line_numbers(self, tmp_path):
+        path = tmp_path / "obs_blank.csv"
+        path.write_text("\nt,m1,m2,m3\n0,1,2,3\n\n1,1,2,x\n")
+        with pytest.raises(ValueError, match=r"obs_blank\.csv:5: non-numeric field"):
+            read_observations_csv(path)
+        path.write_text("t,m1,m2,m3\n\n0,1,2,3\n  \n\n1,4,5\n")
+        with pytest.raises(ValueError, match=r":6: expected 4 fields"):
             read_observations_csv(path)
 
     @pytest.mark.parametrize("row", ["1,5,nan,3", "inf,5,1,3", "1,-inf,1,3"])
@@ -551,7 +551,7 @@ class TestReferenceStepper:
         box_floats(TRUE_PARAMS.as_array() * 0.9, TRUE_PARAMS.as_array() * 1.1)))
     def test_in_box_samples_bit_identical(self, params):
         self.assert_same_as_reference(*params, DEFAULT_INITIAL_STATE,
-                                      default_observation_times(), 1e-6, 1e-8, 200_000)
+                                      default_observation_times(), *repressilator._SOLVE)
 
     @pytest.mark.parametrize("params, initial", [
         # n = 0, no cutoff; proteins start at exactly 0, where the guard gives alpha

@@ -335,33 +335,32 @@ POOL_VALUE = st.one_of(st.sampled_from([np.inf, np.inf, -np.inf, 0.0, 1.0]),
 
 @st.composite
 def selection_pools(draw):
-    """(parent values, offspring values, survivor count) for one selection."""
+    """(parent values, offspring values) for one selection."""
     parents = draw(st.lists(POOL_VALUE, min_size=4, max_size=12))
     offspring = draw(st.lists(POOL_VALUE, min_size=1, max_size=3 * len(parents)))
-    n = draw(st.one_of(st.none(), st.integers(4, len(parents) + len(offspring))))
-    return np.array(parents), np.array(offspring), n
+    return np.array(parents), np.array(offspring)
 
 
 class TestSelectionProperties:
     @staticmethod
-    def _select(parent_values, offspring_values, n=None):
+    def _select(parent_values, offspring_values):
         """Select from a pool whose one-column members are their pool positions."""
         size = parent_values.size
         old = Population(members=np.arange(size, dtype=float)[:, None],
                          values=parent_values, generation=3)
         offspring = np.arange(size, size + offspring_values.size, dtype=float)[:, None]
-        return select_survivors(old, offspring, offspring_values, n)
+        return select_survivors(old, offspring, offspring_values)
 
     @settings(max_examples=300, deadline=None)
     @given(selection_pools())
     def test_matches_sort_on_value_origin_index(self, pool):
-        parent_values, offspring_values, n = pool
-        out = self._select(parent_values, offspring_values, n)
+        parent_values, offspring_values = pool
+        out = self._select(parent_values, offspring_values)
         size = parent_values.size
         values = np.concatenate([parent_values, offspring_values])
         ranked = sorted(range(values.size), key=lambda p: (
             values[p], p >= size, p if p < size else p - size))
-        chosen = sorted(ranked[:size if n is None else n])
+        chosen = sorted(ranked[:size])
 
         positions = out.members[:, 0].astype(int).tolist()
         assert positions == chosen                       # stable pool order
@@ -377,12 +376,12 @@ class TestSelectionProperties:
     @settings(max_examples=100, deadline=None)
     @given(selection_pools(), st.data())
     def test_nan_anywhere_rejected(self, pool, data):
-        parent_values, offspring_values, n = pool
+        parent_values, offspring_values = pool
         values = np.concatenate([parent_values, offspring_values])
         values[data.draw(st.integers(0, values.size - 1))] = np.nan
         size = parent_values.size
         with pytest.raises(ValueError, match="NaN"):
-            self._select(values[:size], values[size:], n)
+            self._select(values[:size], values[size:])
 
 
 class TestDeterminant:
