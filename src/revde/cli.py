@@ -23,13 +23,12 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._util import atomic_write_text, fmt_column, fmt_float, write_csv_columns
+from ._util import atomic_write_text, row_numbers, write_csv
 from .benchmarks import BENCHMARK_NAMES, get_benchmark
 from .engine import (
     BoxBounds,
@@ -260,8 +259,10 @@ def _validate(config: ExperimentConfig, sources: dict) -> None:
         try:
             _run_config(config, method)
         except ValueError as exc:
-            # the per-key checks leave only dex3's population floor
-            raise invalid("n" if "n" in sources else "methods", str(exc)) from None
+            # the per-key checks leave dex3's population floor and an f
+            # that overflows a triplet operator
+            key = "f" if method.matrix_kind else "n" if "n" in sources else "methods"
+            raise invalid(key, str(exc)) from None
 
     if problem == "benchmark":
         if not config.benchmark:
@@ -300,22 +301,21 @@ def _run_config(config: ExperimentConfig, method: Method) -> RunConfig:
     )
 
 
-def _write_combined_summary(summaries: dict, path) -> None:
-    """One CSV aligned on raw evaluation index across all methods."""
-    total = max(s.mean.size for s in summaries.values())
+def _write_combined_summary(summaries: dict, path, numbers=None) -> None:
+    """One CSV aligned on raw evaluation index across all methods; a
+    shorter method's cells are empty past its last evaluation."""
+    numbers = numbers or row_numbers(max(s.mean.size for s in summaries.values()))
     header = ["evaluation"]
-    columns = [map(str, range(1, total + 1))]
+    columns = []
     for m, s in summaries.items():
         header += [f"{m.value}_mean", f"{m.value}_std"]
-        blanks = total - s.mean.size
-        columns += [chain(fmt_column(s.mean), repeat("", blanks)),
-                    chain(fmt_column(s.std), repeat("", blanks))]
-    write_csv_columns(path, ",".join(header), columns)
+        columns += [s.mean, s.std]
+    write_csv(path, ",".join(header), numbers, columns)
 
 
 def _write_eigen_csv(path, f_max: float, f_step: float) -> None:
     header = "kind,F,re1,im1,abs1,re2,im2,abs2,re3,im3,abs3,det"
-    lines = [header]
+    labels, rows = [], []
     count = int(round(f_max / f_step))
     for kind in (MatrixKind.ADE_M, MatrixKind.REVDE_R):
         for i in range(1, count + 1):
@@ -323,13 +323,13 @@ def _write_eigen_csv(path, f_max: float, f_step: float) -> None:
             if f > f_max + 1e-12:
                 break
             m = build_matrix(kind, f)
-            report = eigen_report(m)
-            cells = [kind.name, fmt_float(f)]
-            for z in report.eigenvalues:
-                cells += [fmt_float(z.real), fmt_float(z.imag), fmt_float(abs(z))]
-            cells.append(fmt_float(determinant(m)))
-            lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+            row = [f]
+            for z in eigen_report(m).eigenvalues:
+                row += [z.real, z.imag, abs(z)]
+            row.append(determinant(m))
+            labels.append(kind.name)
+            rows.append(row)
+    write_csv(path, header, labels, np.array(rows).T)
 
 
 def _jsonable(value):
@@ -354,6 +354,8 @@ def _run_method_suite(config: ExperimentConfig, make_objective, outdir: Path, ma
     """Shared benchmark/repressilator/mlp loop: traces, summaries, accounting."""
     summaries = {}
     results = {}
+    # the evaluation labels of every trace and of the summary, built once
+    numbers = row_numbers(max(_run_config(config, m).total_evaluations for m in config.methods))
     for method in config.methods:
         objective = make_objective()
         run_cfg = _run_config(config, method)
@@ -367,7 +369,7 @@ def _run_method_suite(config: ExperimentConfig, make_objective, outdir: Path, ma
                 f"{objective.evaluation_counter} != {expected}"
             )
         trace_path = outdir / f"trace_{method.value}.csv"
-        write_trace_csv(traces[0], trace_path)
+        write_trace_csv(traces[0], trace_path, numbers)
         manifest["outputs"].append(trace_path.name)
         manifest["runs"][method.value] = {
             "generations": run_cfg.generations,
@@ -379,7 +381,7 @@ def _run_method_suite(config: ExperimentConfig, make_objective, outdir: Path, ma
         summaries[method] = summary
         results[method] = traces
     summary_path = outdir / "summary.csv"
-    _write_combined_summary(summaries, summary_path)
+    _write_combined_summary(summaries, summary_path, numbers)
     manifest["outputs"].append(summary_path.name)
     return results
 

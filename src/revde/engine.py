@@ -2,8 +2,10 @@
 
 The engine owns all randomness (a numpy Generator seeded from the run
 config), batches offspring construction per generation, and records a
-best-so-far trace entry for every single objective evaluation.  Each
-batch goes to the evaluator in one call.  The repressilator objective
+best-so-far trace entry for every single objective evaluation.  A
+generation draws all of its slot indices in one RNG call and its
+crossover bits in another.  Each batch goes to the evaluator in one
+call.  The repressilator objective
 splits it over forked processes, one per usable CPU (``taskset -c 0``
 runs it serially); the MLP objective's matrix products run on BLAS
 threads.
@@ -18,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import fmt_column, write_csv_columns
+from ._util import row_numbers, write_csv
 from .transforms import (
     MatrixKind,
     Population,
@@ -165,6 +167,11 @@ class RunConfig:
             raise ValueError(f"generations must be >= 1, got {self.generations}")
         if not (math.isfinite(self.f) and self.f > 0.0):
             raise ValueError(f"scaling factor f must be positive and finite, got {self.f}")
+        kind = self.method.matrix_kind
+        if kind is not None and not np.isfinite(build_matrix(kind, self.f)).all():
+            # REVDE's f^3 entries overflow near f = 5.6e102
+            raise ValueError(f"scaling factor f = {self.f} overflows the "
+                             f"{self.method.value} operator to a non-finite entry")
         if not (0.0 < self.crossover_rate <= 1.0):
             raise ValueError(f"crossover_rate must be in (0, 1], got {self.crossover_rate}")
 
@@ -212,16 +219,27 @@ def _sample_slot_indices(n: int, per_slot: int, rng: np.random.Generator) -> np.
     yet, then shifts ``r`` past the taken ones in ascending order, which
     maps it onto the r-th untaken index.  Every row is a uniform ordered
     draw of distinct indices, as from ``rng.choice(n, per_slot,
-    replace=False)``, at ``per_slot`` RNG calls per generation.
+    replace=False)``.  All columns come from one RNG call per
+    generation, whose draws and end state equal those of one
+    ``rng.integers(0, n - j, size=n)`` call per column.  The taken
+    indices stay sorted by a min/max insertion of each new column.
     """
-    idx = np.empty((n, per_slot), dtype=np.int64)
-    for j in range(per_slot):
-        taken = idx[:, :j] if j < 2 else np.sort(idx[:, :j], axis=1)
-        r = rng.integers(0, n - j, size=n)
+    draws = rng.integers(0, (n - np.arange(per_slot))[:, None], size=(per_slot, n))
+    taken = np.empty_like(draws)     # rows 0..j-1: each slot's taken indices, ascending
+    taken[0] = draws[0]
+    spare = np.empty(n, dtype=draws.dtype)
+    for j in range(1, per_slot):
+        r = draws[j]                 # a view: the shift leaves the index in draws
         for c in range(j):
-            r += r >= taken[:, c]
-        idx[:, j] = r
-    return idx
+            r += r >= taken[c]
+        if j + 1 < per_slot:         # insert r; the last column is never read
+            # top down, row c becomes min(taken[c], max(taken[c - 1], r))
+            np.maximum(taken[j - 1], r, out=taken[j])
+            for c in range(j - 1, 0, -1):
+                np.maximum(taken[c - 1], r, out=spare)
+                np.minimum(taken[c], spare, out=taken[c])
+            np.minimum(taken[0], r, out=taken[0])
+    return draws.T
 
 
 def _offspring_for_generation(
@@ -327,8 +345,8 @@ def run_repeated(
     return traces, RunSummary(mean=stacked.mean(axis=0), std=std)
 
 
-def write_trace_csv(trace: RunTrace, path) -> None:
-    write_csv_columns(path, "evaluation,best_objective", [
-        map(str, range(1, trace.best_objective.size + 1)),
-        fmt_column(trace.best_objective),
-    ])
+def write_trace_csv(trace: RunTrace, path, numbers=None) -> None:
+    """``evaluation,best_objective`` rows; ``numbers`` are ``row_numbers``
+    of at least the trace's length, shared between a run's tables."""
+    numbers = numbers or row_numbers(trace.best_objective.size)
+    write_csv(path, "evaluation,best_objective", numbers, [trace.best_objective])

@@ -49,11 +49,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
-from ._util import fmt_column, write_csv_columns
+from ._util import write_csv
 from .engine import BoxBounds, Objective
 
 __all__ = [
@@ -570,7 +570,7 @@ def _split_rows(score, rows: list) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def write_observations_csv(obs: ObservationSet, path) -> None:
-    write_csv_columns(path, "t,m1,m2,m3", [fmt_column(obs.times), *map(fmt_column, obs.mrna.T)])
+    write_csv(path, "t,m1,m2,m3", None, [obs.times, *obs.mrna.T])
 
 
 def read_observations_csv(path) -> ObservationSet:
@@ -597,8 +597,7 @@ def read_observations_csv(path) -> ObservationSet:
 
 def write_param_history_csv(history, path) -> None:
     """Population snapshots as rows of gen,alpha0,n,beta,alpha,objective."""
-    gens = chain.from_iterable(repeat(str(int(gen)), len(values)) for gen, _, values in history)
+    gens = list(chain.from_iterable([str(int(gen))] * len(values) for gen, _, values in history))
     members = np.concatenate([m for _, m, _ in history]) if history else np.empty((0, 0))
     values = np.concatenate([v for _, _, v in history]) if history else np.empty(0)
-    write_csv_columns(path, "gen,alpha0,n,beta,alpha,objective",
-                      [gens, *map(fmt_column, members.T), fmt_column(values)])
+    write_csv(path, "gen,alpha0,n,beta,alpha,objective", gens, [*members.T, values])

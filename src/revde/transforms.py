@@ -272,12 +272,11 @@ def select_survivors(
         )
     if offspring_values.shape != (offspring.shape[0],):
         raise ValueError("every offspring needs a cached objective value")
-    if np.any(np.isnan(old.values)) or np.any(np.isnan(offspring_values)):
-        raise ValueError("NaN objective value in selection pool (map to +inf first)")
-
     # the pool holds parents then offspring, each in index order, so a
     # stable sort breaks ties by origin and then index
     pool_values = np.concatenate([old.values, offspring_values])
+    if np.isnan(pool_values).any():
+        raise ValueError("NaN objective value in selection pool (map to +inf first)")
     chosen = np.sort(np.argsort(pool_values, kind="stable")[:old.size])
 
     pool_members = np.concatenate([old.members, offspring])

@@ -1,8 +1,9 @@
-"""The shared helpers of ``revde._util``, the CSV writers built on them,
-and the kernel timing script.
+"""The shared helpers of ``revde._util``, the CSV writer and the tables
+built on it, and the kernel timing script.
 
-Float and column formatting, the trace and combined summary CSVs of
-``revde run``, atomic writes, and a smoke run of
+Float formatting, the run-segment CSV writer against a per-row
+``fmt_float`` reference, the trace, combined summary, observations and
+params CSVs, atomic writes, and a smoke run of
 ``bench/compare_backends.py`` from a checkout.
 """
 
@@ -13,11 +14,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from revde._util import atomic_write_text, fmt_column, fmt_float
+from revde._util import atomic_write_text, fmt_float, row_numbers, write_csv
 from revde.cli import _write_combined_summary
 from revde.engine import Method, RunSummary, RunTrace, write_trace_csv
+from revde.repressilator import (
+    ObservationSet,
+    write_observations_csv,
+    write_param_history_csv,
+)
 
 
 class TestFmtFloat:
@@ -39,7 +45,7 @@ class TestFmtFloat:
         assert fmt_float(0.1) == "0.1"
 
 
-# every run boundary fmt_column must see: NaN and +-inf, -0.0 right after
+# every run boundary the writer must see: NaN and +-inf, -0.0 right after
 # 0.0, subnormals, a NaN with another payload, and long constant runs
 EDGE_COLUMN = np.concatenate([
     [np.nan, np.nan, np.inf, np.inf, -np.inf, 0.0, -0.0, -0.0, 0.0],
@@ -49,16 +55,32 @@ EDGE_COLUMN = np.concatenate([
 ])
 
 
+def reference_csv(header, labels, columns):
+    """The table one row at a time: label, then fmt_float or "" per column."""
+    lines = [header]
+    for row in range(max(len(c) for c in columns)):
+        cells = [fmt_float(c[row]) if row < len(c) else "" for c in columns]
+        lines.append(",".join(cells if labels is None else [labels[row], *cells]))
+    return "\n".join(lines) + "\n"
+
+
 class TestFmtColumn:
-    def test_edge_values_match_fmt_float(self):
-        assert list(fmt_column(EDGE_COLUMN)) == [fmt_float(v) for v in EDGE_COLUMN]
-        assert list(fmt_column(np.empty(0))) == []
+    """One float column through ``write_csv``, against ``fmt_float`` per row."""
+
+    def test_edge_values_match_fmt_float(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        write_csv(path, "x", None, [EDGE_COLUMN])
+        assert path.read_text().splitlines() == ["x"] + [fmt_float(v) for v in EDGE_COLUMN]
+        write_csv(path, "x", None, [np.empty(0)])
+        assert path.read_text() == "x\n"
 
     @given(st.lists(st.tuples(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
                               st.integers(1, 5)), max_size=30))
-    def test_runs_match_fmt_float(self, runs):
+    def test_runs_match_fmt_float(self, tmp_path_factory, runs):
         column = np.array([v for v, count in runs for _ in range(count)], dtype=np.float64)
-        assert list(fmt_column(column)) == [fmt_float(v) for v in column]
+        path = tmp_path_factory.mktemp("runs") / "runs.csv"
+        write_csv(path, "x", None, [column])
+        assert path.read_text().splitlines() == ["x"] + [fmt_float(v) for v in column]
 
     def test_trace_and_summary_csv_byte_identical(self, tmp_path):
         index = np.arange(1, EDGE_COLUMN.size + 1)
@@ -93,6 +115,73 @@ class TestFmtColumn:
         assert path.read_text() == "\n".join(expected) + "\n"
 
 
+# a piecewise-constant column: (value, run length) pairs, values drawn
+# from EDGE_COLUMN or any float
+_RUNS = st.lists(st.tuples(st.one_of(st.sampled_from(EDGE_COLUMN.tolist()),
+                                     st.floats(allow_nan=True, allow_subnormal=True)),
+                           st.integers(1, 40)), max_size=12)
+
+
+class TestWriteCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(columns=st.lists(_RUNS, min_size=1, max_size=5), numbered=st.booleans())
+    def test_tables_match_per_row_reference(self, tmp_path_factory, columns, numbered):
+        columns = [np.array([v for v, count in runs for _ in range(count)], dtype=np.float64)
+                   for runs in columns]   # ragged: each column has its own length
+        rows = max(c.size for c in columns)
+        labels = row_numbers(rows + 3) if numbered else None   # longer labels are fine
+        header = ",".join(f"c{i}" for i in range(len(columns)))
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        write_csv(path, header, labels, columns)
+        assert path.read_bytes() == reference_csv(header, labels, columns).encode()
+
+    @pytest.mark.parametrize("labels", [None, ["7"]])
+    def test_zero_and_one_row_tables(self, tmp_path, labels):
+        path = tmp_path / "t.csv"
+        write_csv(path, "a,b", labels, [np.empty(0), np.empty(0)])
+        assert path.read_text() == "a,b\n"
+        write_csv(path, "a,b", labels, [[-0.0], np.empty(0)])
+        assert path.read_text() == "a,b\n" + ("7," if labels else "") + "-0.0,\n"
+
+    def test_row_numbers(self):
+        assert row_numbers(0) == []
+        assert row_numbers(3) == ["1", "2", "3"]
+
+    def test_params_csv_with_integer_gen_column(self, tmp_path):
+        rng = np.random.default_rng(3)
+        members = rng.uniform(0.0, 5.0, size=(4, 4))
+        values = np.array([2.0, np.inf, 2.0, 0.5])
+        history = [(0, members, values), (1, members[::-1].copy(), values[::-1].copy()),
+                   (2, np.tile(members[:1], (4, 1)), np.full(4, 0.5))]   # equal rows
+        path = tmp_path / "params.csv"
+        write_param_history_csv(history, path)
+        lines = ["gen,alpha0,n,beta,alpha,objective"]
+        for gen, m, v in history:
+            lines += [",".join([str(gen), *map(fmt_float, row), fmt_float(value)])
+                      for row, value in zip(m, v)]
+        assert path.read_text() == "\n".join(lines) + "\n"
+        write_param_history_csv([], path)
+        assert path.read_text() == "gen,alpha0,n,beta,alpha,objective\n"
+
+    def test_observations_csv_without_number_column(self, tmp_path):
+        times = np.linspace(0.0, 40.0, 7)
+        mrna = np.column_stack([np.full(7, 1.5), EDGE_COLUMN[-7:], np.arange(7.0)])
+        path = tmp_path / "obs.csv"
+        write_observations_csv(ObservationSet(times=times, mrna=mrna), path)
+        assert path.read_bytes() == reference_csv("t,m1,m2,m3", None, [times, *mrna.T]).encode()
+
+    def test_shared_numbers_give_the_same_bytes(self, tmp_path):
+        trace = RunTrace(EDGE_COLUMN, None, EDGE_COLUMN.size, 0)
+        summary = {Method.DE: RunSummary(EDGE_COLUMN, EDGE_COLUMN[::-1].copy())}
+        numbers = row_numbers(EDGE_COLUMN.size + 10)
+        for name, write in (("trace", lambda *a: write_trace_csv(trace, *a)),
+                            ("summary", lambda *a: _write_combined_summary(summary, *a))):
+            write(tmp_path / f"{name}2.csv")
+            write(tmp_path / f"{name}3.csv", numbers)
+            assert (tmp_path / f"{name}2.csv").read_bytes() == \
+                (tmp_path / f"{name}3.csv").read_bytes()
+
+
 class TestAtomicWrite:
     def test_writes_and_replaces(self, tmp_path):
         path = tmp_path / "f.txt"
@@ -113,6 +202,26 @@ class TestAtomicWrite:
         mode = (tmp_path / "atomic.txt").stat().st_mode & 0o777
         assert mode == (tmp_path / "plain.txt").stat().st_mode & 0o777
         assert mode == 0o666 & ~umask
+
+    def test_writes_chunks(self, tmp_path):
+        path = tmp_path / "f.txt"
+        atomic_write_text(path, (f"{i}\n" for i in range(2000)))
+        assert path.read_text() == "".join(f"{i}\n" for i in range(2000))
+        atomic_write_text(path, iter(()))
+        assert path.read_text() == ""
+
+    def test_failing_chunks_keep_the_old_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        atomic_write_text(path, "old\n")
+
+        def chunks():
+            yield "x" * 100_000
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            atomic_write_text(path, chunks())
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
 
     def test_failure_leaves_no_partial_file(self, tmp_path):
         path = tmp_path / "f.txt"

@@ -113,6 +113,22 @@ class TestConfigParsing:
             assert "f must be positive and finite" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_f_overflowing_revde_operator_rejected(self, tmp_path, capsys):
+        # R's f^3 entries are inf here, and the matmul would score NaN offspring
+        text = "problem = rastrigin\nmethods = de,ade,revde\nn = 8\ngenerations = 2\nf = 1e200\n"
+        cfg = write_config(tmp_path, text)
+        outdir = tmp_path / "out"
+        assert run_cli("run", cfg, "--output-dir", outdir) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:5: scaling factor f = 1e+200 "
+                                                  "overflows the revde operator")
+        assert run_cli("run", cfg, "--f", "1e103", "--output-dir", outdir) == 1
+        assert capsys.readouterr().err.startswith("error: flag --f: scaling factor f = 1e+103")
+        assert not outdir.exists()
+        with pytest.raises(ValueError, match="overflows the revde operator"):
+            RunConfig(method=Method.REVDE, population_size=8, generations=1, f=1e200)
+        # ADE's entries are +-f, finite for every finite f
+        assert RunConfig(method=Method.ADE, population_size=8, generations=1, f=1e200).f == 1e200
+
     def test_crossover_range(self, tmp_path):
         path = write_config(tmp_path, "problem = rastrigin\np = 1.5\n")
         with pytest.raises(ConfigError, match="crossover_rate must be in"):

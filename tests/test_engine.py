@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _reference_sampler
 from conftest import revde_recursion
 from revde.benchmarks import get_benchmark, rastrigin_batch
 from revde.cli import _write_combined_summary
@@ -259,6 +260,22 @@ class TestSlotSampler:
         stats = [((np.bincount(rows[:, j], minlength=n) - expected) ** 2 / expected).sum()
                  for j in range(k)]
         assert chi2.sf(max(stats), n - 1) > 0.01 / k   # Bonferroni over the k positions
+
+
+class TestReferenceSampler:
+    """The one-call sampler against the frozen per-column sampler."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(4, 400), k=st.sampled_from([1, 2, 3, 7]), seed=st.integers(0, 2**64 - 1))
+    def test_same_indices_and_generator_state(self, n, k, seed):
+        if k > n:
+            k = n
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _reference_sampler.sample_slot_indices(n, k, want_rng)
+        got = _sample_slot_indices(n, k, got_rng)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestGenerationMechanics:
