@@ -1,7 +1,6 @@
 """Differential evolution with reversible linear population transforms."""
 
 from .transforms import (
-    EigenReport,
     MatrixKind,
     Population,
     apply_triplet_transform,
@@ -27,7 +26,6 @@ __all__ = [
     "__version__",
     "backend_name",
     "MatrixKind",
-    "EigenReport",
     "Population",
     "de_mutation",
     "build_matrix",

@@ -3,7 +3,9 @@
 Each function is one population-batch kernel (``rastrigin_batch(X)``,
 ``(K, D) -> (K,)``), the one the optimization loop calls; a single point
 is a one-row batch.  Each kernel is one vectorized numpy expression over
-the whole batch.
+the whole batch.  One table, ``name -> (kernel, low, high)``, is the only
+place a benchmark is named: ``BENCHMARK_NAMES``, :func:`get_benchmark`
+and ``BenchmarkSpec.batch`` all read it.
 
 Note on Griewank: the sum term here is ``sqrt(x_d^2 / 4000)``, i.e.
 ``|x_d| / sqrt(4000)``, not the more common ``x_d^2 / 4000``.  Pass
@@ -29,16 +31,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 SCHWEFEL_CONSTANT = 418.9829
-
-# search-space box per function: same interval in every coordinate
-_BOUNDS = {
-    "griewank": (-5.0, 5.0),
-    "rastrigin": (-5.0, 5.0),
-    "salomon": (-5.0, 5.0),
-    "schwefel": (200.0, 500.0),
-}
-BENCHMARK_NAMES = tuple(sorted(_BOUNDS))
-
 
 def _as_batch(x) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -81,6 +73,17 @@ def schwefel_batch(x) -> np.ndarray:
 # named lookup for the harness
 # ----------------------------------------------------------------------
 
+# name -> (kernel, low, high): the search box is the same interval in
+# every coordinate
+_BENCHMARKS = {
+    "griewank": (griewank_batch, -5.0, 5.0),
+    "rastrigin": (rastrigin_batch, -5.0, 5.0),
+    "salomon": (salomon_batch, -5.0, 5.0),
+    "schwefel": (schwefel_batch, 200.0, 500.0),
+}
+BENCHMARK_NAMES = tuple(sorted(_BENCHMARKS))
+
+
 @dataclass(frozen=True)
 class BenchmarkSpec:
     """A benchmark function instantiated at a dimensionality."""
@@ -92,29 +95,25 @@ class BenchmarkSpec:
     griewank_standard: bool = False
 
     def batch(self, x) -> np.ndarray:
-        if self.name == "griewank":
-            return griewank_batch(x, standard=self.griewank_standard)
-        if self.name == "rastrigin":
-            return rastrigin_batch(x)
-        if self.name == "salomon":
-            return salomon_batch(x)
-        return schwefel_batch(x)
+        kernel = _BENCHMARKS[self.name][0]
+        return kernel(x, standard=True) if self.griewank_standard else kernel(x)
 
 
 def get_benchmark(name: str, dim: int, griewank_standard: bool = False) -> BenchmarkSpec:
     """Look up a benchmark by name with its standard bounds at ``dim``."""
     key = name.strip().lower()
-    if key not in _BOUNDS:
+    if key not in _BENCHMARKS:
         raise ValueError(
             f"unknown benchmark {name!r}; expected one of {', '.join(BENCHMARK_NAMES)}"
         )
     if dim < 1:
         raise ValueError(f"dimensionality must be >= 1, got {dim}")
-    lo, hi = _BOUNDS[key]
+    kernel, lo, hi = _BENCHMARKS[key]
     return BenchmarkSpec(
         name=key,
         dim=dim,
         lower=np.full(dim, lo),
         upper=np.full(dim, hi),
-        griewank_standard=griewank_standard,
+        # the flag selects Griewank's sum term; the other kernels have none
+        griewank_standard=griewank_standard and kernel is griewank_batch,
     )

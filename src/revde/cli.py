@@ -9,7 +9,8 @@ Two subcommands:
                                  emit the eigenvalue/determinant table for
                                  both transform matrices as CSV
 
-Experiments write per-method trace CSVs, one aligned summary CSV, and a
+Experiments build one objective per problem, run every method on it, and
+write per-method trace CSVs, one aligned summary CSV, and a
 manifest.json (resolved config, seeds, wall time, library version) into
 the output directory.  The manifest is written even when the experiment
 fails mid-way; every CSV is written atomically.
@@ -324,7 +325,7 @@ def _write_eigen_csv(path, f_max: float, f_step: float) -> None:
                 break
             m = build_matrix(kind, f)
             row = [f]
-            for z in eigen_report(m).eigenvalues:
+            for z in eigen_report(m):
                 row += [z.real, z.imag, abs(z)]
             row.append(determinant(m))
             labels.append(kind.name)
@@ -350,23 +351,25 @@ def _config_dict(config: ExperimentConfig) -> dict:
     return {f.name: _jsonable(getattr(config, f.name)) for f in fields(config)}
 
 
-def _run_method_suite(config: ExperimentConfig, make_objective, outdir: Path, manifest: dict, keep_history: bool = False):
-    """Shared benchmark/repressilator/mlp loop: traces, summaries, accounting."""
+def _run_method_suite(config: ExperimentConfig, objective: Objective, outdir: Path,
+                      manifest: dict, keep_history: bool = False):
+    """Shared benchmark/repressilator/mlp loop: traces, summaries, accounting.
+    Every method runs on ``objective``, and is checked by its counter's delta."""
     summaries = {}
     results = {}
     # the evaluation labels of every trace and of the summary, built once
     numbers = row_numbers(max(_run_config(config, m).total_evaluations for m in config.methods))
     for method in config.methods:
-        objective = make_objective()
         run_cfg = _run_config(config, method)
+        before = objective.evaluation_counter
         traces, summary = run_repeated(
             run_cfg, objective, config.repeats, keep_history=keep_history
         )
+        counted = objective.evaluation_counter - before
         expected = run_cfg.total_evaluations * config.repeats
-        if objective.evaluation_counter != expected:
+        if counted != expected:
             raise RuntimeError(
-                f"evaluation accounting broke for {method.value}: "
-                f"{objective.evaluation_counter} != {expected}"
+                f"evaluation accounting broke for {method.value}: {counted} != {expected}"
             )
         trace_path = outdir / f"trace_{method.value}.csv"
         write_trace_csv(traces[0], trace_path, numbers)
@@ -403,12 +406,8 @@ def run_experiment(config: ExperimentConfig) -> int:
             bench = get_benchmark(
                 config.benchmark, config.dim, griewank_standard=config.griewank_standard
             )
-            bounds = BoxBounds(bench.lower, bench.upper)
-
-            def make_objective():
-                return Objective(bench.batch, bounds)
-
-            _run_method_suite(config, make_objective, outdir, manifest)
+            objective = Objective(bench.batch, BoxBounds(bench.lower, bench.upper))
+            _run_method_suite(config, objective, outdir, manifest)
 
         elif config.problem == "repressilator":
             times = np.linspace(0.0, config.obs_end, config.obs_count)
@@ -431,16 +430,13 @@ def run_experiment(config: ExperimentConfig) -> int:
             # (low, high) pairs in parameter order, transposed to (lower, upper)
             bounds = BoxBounds(*np.transpose([config.alpha0_bounds, config.n_bounds,
                                               config.beta_bounds, config.alpha_bounds]))
-
-            def make_objective():
-                return rep_mod.make_fit_objective(obs, bounds=bounds)
-
+            objective = rep_mod.make_fit_objective(obs, bounds=bounds)
             # processes the fit spreads the largest generation's batch over
             manifest["fit_processes"] = rep_mod.fit_processes(max(
                 config.population_size * m.offspring_per_slot for m in config.methods))
 
             results = _run_method_suite(
-                config, make_objective, outdir, manifest, keep_history=True
+                config, objective, outdir, manifest, keep_history=True
             )
             for method, traces in results.items():
                 params_path = outdir / f"params_{method.value}.csv"
@@ -462,11 +458,8 @@ def run_experiment(config: ExperimentConfig) -> int:
                 test = mlp_mod.prepare_dataset(
                     mlp_mod.load_idx(config.test_images, config.test_labels)
                 )
-
-            def make_objective():
-                return mlp_mod.make_error_objective(train)
-
-            results = _run_method_suite(config, make_objective, outdir, manifest)
+            results = _run_method_suite(config, mlp_mod.make_error_objective(train),
+                                        outdir, manifest)
             if test is not None:
                 for method, traces in results.items():
                     best = [t.final_population.members[t.final_population.best_index()]

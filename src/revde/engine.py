@@ -8,7 +8,8 @@ crossover bits in another.  Each batch goes to the evaluator in one
 call.  The repressilator objective
 splits it over forked processes, one per usable CPU (``taskset -c 0``
 runs it serially); the MLP objective's matrix products run on BLAS
-threads.
+threads.  Before its first evaluation a run rejects an ``f`` at which a
+trial coordinate could overflow float64 from the objective's box.
 """
 
 from __future__ import annotations
@@ -279,7 +280,19 @@ def run(
     objective: Objective,
     keep_history: bool = False,
 ) -> RunTrace:
-    """Execute G generations and return the full evaluation trace."""
+    """Execute G generations and return the full evaluation trace.
+
+    Raises ValueError before the first evaluation where the box's largest
+    |coordinate| times the operator's largest absolute row sum overflows;
+    DE's and DEx3's trials are ADE's first row ``[1, f, -f]``.
+    """
+    operator = build_matrix(config.method.matrix_kind or MatrixKind.ADE_M, config.f)
+    box = np.abs([objective.bounds.lower, objective.bounds.upper]).max()
+    # Python floats: an overflow is an inf here, not a RuntimeWarning
+    reach = max(map(sum, np.abs(operator).tolist())) * float(box)
+    if not math.isfinite(reach):
+        raise ValueError(f"scaling factor f = {config.f} overflows float64 in the "
+                         f"{config.method.value} trials from this box")
     rng = np.random.default_rng(config.seed)
     counter_before = objective.evaluation_counter
     nan_before = objective.nan_evaluations
@@ -330,11 +343,15 @@ def run_repeated(
     repeats: int,
     keep_history: bool = False,
 ) -> tuple[list[RunTrace], RunSummary]:
-    """Run ``repeats`` independent repetitions; repeat r uses seed+r."""
+    """Run ``repeats`` independent repetitions; repeat r uses seed+r.
+
+    ``keep_history`` keeps the population snapshots of the first repeat
+    only; the other traces carry ``history=None``.
+    """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    traces = [run(replace(config, seed=config.seed + r), objective, keep_history=keep_history)
-              for r in range(repeats)]
+    traces = [run(replace(config, seed=config.seed + r), objective,
+                  keep_history=keep_history and r == 0) for r in range(repeats)]
     stacked = np.stack([t.best_objective for t in traces])
     # a column holding inf has a NaN std (inf - inf); it has no spread
     # where every repeat agrees (all still +inf), else an infinite one

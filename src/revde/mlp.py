@@ -8,14 +8,17 @@ hidden->output block (200 entries).  The predicted class is the argmax
 of the output logits; :func:`classification_error_batch` scores a
 ``(K, 4120)`` batch, and one candidate is a one-row batch.
 
-Includes an IDX-format reader/writer (the MNIST distribution format,
-gzip detected by magic bytes) and 2x2 average-pool downsampling of
-``(N, 784)`` rows of 28x28 images to ``(N, 196)``.
+Includes one IDX reader and one IDX writer (the MNIST distribution
+format, gzip detected by magic bytes) that serve both images (3-D) and
+labels (1-D): the magic is ``0x0800`` plus the number of dimensions, and
+each kind keeps its own checks around them.  Also 2x2 average-pool
+downsampling of ``(N, 784)`` rows of 28x28 images to ``(N, 196)``.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 
@@ -40,10 +43,6 @@ __all__ = [
     "make_error_objective",
     "DEFAULT_WEIGHT_BOUNDS",
 ]
-
-_IMAGES_MAGIC = 0x00000803
-_LABELS_MAGIC = 0x00000801
-
 
 @dataclass(frozen=True)
 class MlpShape:
@@ -121,60 +120,53 @@ class IdxCountMismatchError(IdxError):
     pass
 
 
-def _read_idx_bytes(path) -> bytes:
+def _read_idx(path, kind: str, ndim: int) -> np.ndarray:
+    """The uint8 array of an ``ndim``-D IDX file (plain or gzip): magic
+    ``0x0800 + ndim``, one big-endian int32 size per dimension, payload."""
     with open(path, "rb") as fh:
         head = fh.read(2)
         fh.seek(0)
         if head == b"\x1f\x8b":
             with gzip.open(fh) as gz:
-                return gz.read()
-        return fh.read()
-
-
-def _parse_idx_images(path) -> np.ndarray:
-    data = _read_idx_bytes(path)
-    if len(data) < 16:
-        raise IdxTruncatedError(f"{path}: header needs 16 bytes, file has {len(data)}")
-    magic, count, rows, cols = struct.unpack(">iiii", data[:16])
-    if magic != _IMAGES_MAGIC:
+                data = gz.read()
+        else:
+            data = fh.read()
+    header = 4 + 4 * ndim
+    if len(data) < header:
+        raise IdxTruncatedError(f"{path}: header needs {header} bytes, file has {len(data)}")
+    magic, *dims = struct.unpack(f">{1 + ndim}i", data[:header])
+    if magic != 0x800 + ndim:
         raise IdxMagicError(
-            f"{path}: bad image magic 0x{magic:08x}, expected 0x{_IMAGES_MAGIC:08x}"
+            f"{path}: bad {kind} magic 0x{magic:08x}, expected 0x{0x800 + ndim:08x}"
         )
-    expected = 16 + count * rows * cols
+    expected = header + math.prod(dims)
     if len(data) != expected:
+        shape = f" of {'x'.join(map(str, dims[1:]))}" if ndim > 1 else ""
         raise IdxTruncatedError(
-            f"{path}: expected {expected} bytes for {count} images of {rows}x{cols}, got {len(data)}"
+            f"{path}: expected {expected} bytes for {dims[0]} {kind}s{shape}, got {len(data)}"
         )
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=16)
-    return pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    return np.frombuffer(data, dtype=np.uint8, offset=header).reshape(dims)
 
 
-def _parse_idx_labels(path) -> np.ndarray:
-    data = _read_idx_bytes(path)
-    if len(data) < 8:
-        raise IdxTruncatedError(f"{path}: header needs 8 bytes, file has {len(data)}")
-    magic, count = struct.unpack(">ii", data[:8])
-    if magic != _LABELS_MAGIC:
-        raise IdxMagicError(
-            f"{path}: bad label magic 0x{magic:08x}, expected 0x{_LABELS_MAGIC:08x}"
-        )
-    if len(data) != 8 + count:
-        raise IdxTruncatedError(
-            f"{path}: expected {8 + count} bytes for {count} labels, got {len(data)}"
-        )
-    return np.frombuffer(data, dtype=np.uint8, offset=8).astype(np.int64)
+def _write_idx(path, arr: np.ndarray) -> None:
+    """Write a uint8 array in IDX format, gzip-compressed if ``path`` ends in .gz."""
+    payload = struct.pack(f">{1 + arr.ndim}i", 0x800 + arr.ndim, *arr.shape) + arr.tobytes()
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "wb") as fh:
+        fh.write(payload)
 
 
 def load_idx(images_path, labels_path) -> ImageDataset:
     """Read an IDX image/label file pair (plain or gzip-compressed)."""
-    images = _parse_idx_images(images_path)
-    labels = _parse_idx_labels(labels_path)
+    images = _read_idx(images_path, "image", 3)
+    labels = _read_idx(labels_path, "label", 1)
     if images.shape[0] != labels.shape[0]:
         raise IdxCountMismatchError(
             f"{images_path} has {images.shape[0]} images but "
             f"{labels_path} has {labels.shape[0]} labels"
         )
-    return ImageDataset(images=images, labels=labels)
+    rows = images.reshape(images.shape[0], math.prod(images.shape[1:]))
+    return ImageDataset(images=rows.astype(np.float64) / 255.0, labels=labels.astype(np.int64))
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -184,23 +176,17 @@ def write_idx_images(path, images: np.ndarray) -> None:
         raise ValueError(f"images must be (N, H, W), got shape {arr.shape}")
     if arr.dtype != np.uint8:
         raise ValueError(f"images must be uint8, got {arr.dtype}")
-    n, rows, cols = arr.shape
-    payload = struct.pack(">iiii", _IMAGES_MAGIC, n, rows, cols) + arr.tobytes()
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wb") as fh:
-        fh.write(payload)
+    _write_idx(path, arr)
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
+    """Write class labels 0..255 as a 1-D IDX file (gzip if *.gz)."""
     arr = np.asarray(labels)
     if arr.ndim != 1:
         raise ValueError(f"labels must be 1-D, got shape {arr.shape}")
     if arr.min() < 0 or arr.max() > 255:
         raise ValueError("labels must fit in a byte")
-    payload = struct.pack(">ii", _LABELS_MAGIC, arr.size) + arr.astype(np.uint8).tobytes()
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wb") as fh:
-        fh.write(payload)
+    _write_idx(path, arr.astype(np.uint8))
 
 
 def downsample(images: np.ndarray) -> np.ndarray:

@@ -5,6 +5,10 @@ gene 1 is repressed by protein 3, gene 2 by protein 1, gene 3 by
 protein 2.  The mRNA equations carry a Hill term alpha / (1 + p^n); the
 protein equations are -beta * (p - m).
 
+Sample times obey one rule, checked by ``_sample_times`` for both
+``integrate`` and ``ObservationSet``: a non-empty 1-D vector of finite
+times, starting at or after 0 and strictly increasing.
+
 The integrator is an adaptive Dormand-Prince 5(4) scheme with FSAL and
 cubic Hermite dense output at the requested sample times.  It is the
 hot path of parameter fitting.  The stepper keeps its state and stages
@@ -121,6 +125,22 @@ def default_observation_times() -> np.ndarray:
     return np.linspace(0.0, 40.0, 40)
 
 
+def _sample_times(times) -> np.ndarray:
+    """``times`` as float64 once checked: every solve starts at t = 0 and
+    samples forward, so they are a non-empty 1-D vector of finite times,
+    starting at or after 0 and strictly increasing."""
+    t = np.asarray(times, dtype=np.float64)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError(f"times must be a non-empty 1-D vector, got shape {t.shape}")
+    if not np.isfinite(t).all():
+        raise ValueError("times must be finite")
+    if t[0] < 0:
+        raise ValueError(f"times must start at or after 0, got {t[0]}")
+    if np.any(np.diff(t) <= 0):
+        raise ValueError("times must be strictly increasing")
+    return t
+
+
 @dataclass(frozen=True)
 class ObservationSet:
     """Noisy mRNA readouts; proteins are treated as unobserved."""
@@ -129,20 +149,14 @@ class ObservationSet:
     mrna: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
+        times = _sample_times(self.times)
         mrna = np.asarray(self.mrna, dtype=np.float64)
-        if times.ndim != 1 or times.size == 0:
-            raise ValueError(f"times must be a non-empty 1-D vector, got shape {times.shape}")
         if mrna.shape != (times.size, 3):
             raise ValueError(
                 f"mrna must have shape ({times.size}, 3) to match times, got {mrna.shape}"
             )
-        if not (np.isfinite(times).all() and np.isfinite(mrna).all()):
-            raise ValueError("times and mrna must be finite")
-        if times[0] < 0:
-            raise ValueError(f"times must start at or after 0, got {times[0]}")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if not np.isfinite(mrna).all():
+            raise ValueError("mrna must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "mrna", mrna)
 
@@ -429,21 +443,16 @@ def integrate(params, initial=None, times=None, max_steps: int = _SOLVE[2]) -> n
     """Solve the six rate equations from t=0, sampled at ``times``.
 
     ``params`` may be a RepressilatorParams or a length-4 array
-    (alpha0, n, beta, alpha).  Raises IntegrationError when the adaptive
-    stepper fails; callers fitting parameters map that to +inf.
+    (alpha0, n, beta, alpha); ``times`` obey ``_sample_times``.  Raises
+    IntegrationError when the adaptive stepper fails; callers fitting
+    parameters map that to +inf.
     """
     if not isinstance(params, RepressilatorParams):
         params = RepressilatorParams.from_array(params)
     y0 = DEFAULT_INITIAL_STATE if initial is None else np.asarray(initial, dtype=np.float64)
     if y0.shape != (6,):
         raise ValueError(f"initial state must have 6 entries, got shape {y0.shape}")
-    t = default_observation_times() if times is None else np.asarray(times, dtype=np.float64)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("times must be a non-empty 1-D vector")
-    if t[0] < 0:
-        raise ValueError(f"times must start at or after 0, got {t[0]}")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("times must be strictly increasing")
+    t = _sample_times(default_observation_times() if times is None else times)
     out, status = _dopri5(params.alpha0, params.n, params.beta, params.alpha, y0, t,
                           *_SOLVE[:2], int(max_steps))
     if status != 0:
@@ -459,9 +468,7 @@ def generate_observations(
     rng: np.random.Generator | None = None,
 ) -> ObservationSet:
     """Simulate mRNA at the sample times and add iid Gaussian noise."""
-    if times is None:
-        times = default_observation_times()
-    times = np.asarray(times, dtype=np.float64)
+    times = _sample_times(default_observation_times() if times is None else times)
     if rng is None:
         rng = np.random.default_rng()
     trajectory = integrate(true_params, initial=initial, times=times)

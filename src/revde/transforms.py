@@ -16,6 +16,10 @@ acting on stacked ``(..., 3, D)`` triplets:
   rows back into the later ones; it has unit determinant and is
   invertible for every ``f``.
 
+One 3x3 adjugate gives both :func:`determinant` (its first column) and
+:func:`invert_triplet_transform`; :func:`eigen_report` returns the
+sorted eigenvalue triple of an operator.
+
 All functions are pure: inputs are never modified, randomness always
 comes in through an explicit ``numpy.random.Generator``.
 """
@@ -24,14 +28,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "MatrixKind",
-    "EigenReport",
     "Population",
     "de_mutation",
     "build_matrix",
@@ -57,23 +60,6 @@ def _check_scale(f: float) -> float:
     if not math.isfinite(f) or f < 0.0:
         raise ValueError(f"scaling factor must be finite and >= 0, got {f}")
     return f
-
-
-@dataclass(frozen=True)
-class EigenReport:
-    """Eigenvalues of a triplet operator, with real parts and moduli.
-
-    Sorted by descending real part, then descending modulus, then
-    descending imaginary part (so a conjugate pair lists ``+i`` first).
-    """
-
-    eigenvalues: tuple[complex, complex, complex]
-    real_parts: tuple[float, float, float] = field(init=False)
-    moduli: tuple[float, float, float] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "real_parts", tuple(z.real for z in self.eigenvalues))
-        object.__setattr__(self, "moduli", tuple(abs(z) for z in self.eigenvalues))
 
 
 @dataclass
@@ -206,14 +192,7 @@ def invert_triplet_transform(m: np.ndarray, y) -> np.ndarray:
     """
     y = np.asarray(y, dtype=np.float64)
     _check_triplets(y, "y")
-    det = determinant(m)
-    adjugate = np.array(
-        [
-            [m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1], m[0, 2] * m[2, 1] - m[0, 1] * m[2, 2], m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]],
-            [m[1, 2] * m[2, 0] - m[1, 0] * m[2, 2], m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0], m[0, 2] * m[1, 0] - m[0, 0] * m[1, 2]],
-            [m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0], m[0, 1] * m[2, 0] - m[0, 0] * m[2, 1], m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]],
-        ]
-    )
+    adjugate, det = _adjugate(m)
     return (adjugate / det) @ y
 
 
@@ -287,16 +266,25 @@ def select_survivors(
     )
 
 
-def determinant(m) -> float:
-    """3x3 determinant by cofactor expansion along the first row."""
+def _adjugate(m) -> tuple[np.ndarray, float]:
+    """The adjugate of a 3x3 matrix, and its determinant by cofactor
+    expansion along the first row (the adjugate's first column)."""
     e = np.asarray(m, dtype=np.float64)
     if e.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {e.shape}")
-    return float(
-        e[0, 0] * (e[1, 1] * e[2, 2] - e[1, 2] * e[2, 1])
-        - e[0, 1] * (e[1, 0] * e[2, 2] - e[1, 2] * e[2, 0])
-        + e[0, 2] * (e[1, 0] * e[2, 1] - e[1, 1] * e[2, 0])
+    adj = np.array(
+        [
+            [e[1, 1] * e[2, 2] - e[1, 2] * e[2, 1], e[0, 2] * e[2, 1] - e[0, 1] * e[2, 2], e[0, 1] * e[1, 2] - e[0, 2] * e[1, 1]],
+            [e[1, 2] * e[2, 0] - e[1, 0] * e[2, 2], e[0, 0] * e[2, 2] - e[0, 2] * e[2, 0], e[0, 2] * e[1, 0] - e[0, 0] * e[1, 2]],
+            [e[1, 0] * e[2, 1] - e[1, 1] * e[2, 0], e[0, 1] * e[2, 0] - e[0, 0] * e[2, 1], e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]],
+        ]
     )
+    return adj, float(e[0, 0] * adj[0, 0] + e[0, 1] * adj[1, 0] + e[0, 2] * adj[2, 0])
+
+
+def determinant(m) -> float:
+    """3x3 determinant by cofactor expansion along the first row."""
+    return _adjugate(m)[1]
 
 
 def _solve_cubic(c2: float, c1: float, c0: float) -> list[complex]:
@@ -322,21 +310,24 @@ def _solve_cubic(c2: float, c1: float, c0: float) -> list[complex]:
     return roots
 
 
-def eigen_report(m: np.ndarray) -> EigenReport:
+def eigen_report(m: np.ndarray) -> tuple[complex, complex, complex]:
     """Eigenvalues of the operator via its cubic characteristic polynomial.
 
     The characteristic polynomial of a 3x3 matrix is
     ``lambda^3 - tr lambda^2 + s lambda - det`` with ``s`` the sum of the
     principal 2x2 minors; the cubic is solved in closed form, so no
-    general eigensolver is involved.
+    general eigensolver is involved.  The triple is sorted by descending
+    real part, then descending modulus, then descending imaginary part
+    (a conjugate pair lists ``+i`` first).
     """
     trace = m[0, 0] + m[1, 1] + m[2, 2]
+    # the adjugate's trace, summed left to right: the adjugate's order
+    # rounds differently at f-step 0.1, and the table keeps its bytes
     minors = (
         m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
         + m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
         + m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     )
-    det = determinant(m)
-    roots = _solve_cubic(-trace, minors, -det)
+    roots = _solve_cubic(-trace, minors, -determinant(m))
     roots.sort(key=lambda z: (-z.real, -abs(z), -z.imag))
-    return EigenReport(eigenvalues=tuple(roots))
+    return tuple(roots)

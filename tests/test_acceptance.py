@@ -54,14 +54,14 @@ def test_algebraic_identities():
         worst_det_r = max(worst_det_r, abs(determinant(r) - 1.0))
         a = m - np.eye(3)
         worst_sym = max(worst_sym, np.abs(a + a.T).max())
-        eig = sorted(eigen_report(m).eigenvalues, key=lambda z: z.imag)
+        eig = sorted(eigen_report(m), key=lambda z: z.imag)
         expect = sorted(
             [1.0 + 0j, 1.0 + 1j * math.sqrt(3) * f, 1.0 - 1j * math.sqrt(3) * f],
             key=lambda z: z.imag,
         )
         worst_eig = max(worst_eig, max(abs(a_ - b_) for a_, b_ in zip(eig, expect)))
         for mat in (m, r):
-            prod = np.prod(eigen_report(mat).eigenvalues)
+            prod = np.prod(eigen_report(mat))
             worst_prod = max(worst_prod, abs(prod - determinant(mat)))
 
     worst_apply = 0.0

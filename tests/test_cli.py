@@ -1,6 +1,7 @@
 """Config parsing, the two subcommands, and output-directory contracts."""
 
 import csv
+import hashlib
 import json
 import math
 import re
@@ -128,6 +129,17 @@ class TestConfigParsing:
             RunConfig(method=Method.REVDE, population_size=8, generations=1, f=1e200)
         # ADE's entries are +-f, finite for every finite f
         assert RunConfig(method=Method.ADE, population_size=8, generations=1, f=1e200).f == 1e200
+
+    @pytest.mark.parametrize("method, f", [("de", "1e308"), ("revde", "5e102")])
+    def test_f_overflowing_the_box_fails_the_run(self, tmp_path, capsys, method, f):
+        # operator entries are finite, but a trial from the +-5 box is not
+        outdir = tmp_path / "out"
+        assert run_cli("run", write_config(tmp_path, ""), "--problem", "rastrigin",
+                       "--methods", method, "--n", 8, "--generations", 2, "--repeats", 1,
+                       "--f", f, "--output-dir", outdir) == 1
+        error = json.loads((outdir / "manifest.json").read_text())["error"]
+        assert error.startswith(f"ValueError: scaling factor f = {float(f)} overflows float64")
+        assert "overflows float64" in capsys.readouterr().err
 
     def test_crossover_range(self, tmp_path):
         path = write_config(tmp_path, "problem = rastrigin\np = 1.5\n")
@@ -359,6 +371,20 @@ class TestAnalyze:
         assert math.isclose(max(float(r["F"]) for r in rows), 2.0)
         assert min(float(r["F"]) for r in rows) == 0.015625
 
+    @pytest.mark.parametrize("args, digest", [
+        ((), "d70903f6015a95a6c3a4571f7ea8564115eed96db062403ecc7c136f0e0a1c5f"),
+        (("--f-max", 1, "--f-step", 0.1),
+         "887c02631e6215bddc6cbb2ae703114cdc7686cd340e2d03cbf398c245a23d43"),
+    ])
+    def test_table_bytes_golden(self, tmp_path, args, digest):
+        # sha256 of the tables written before the determinant and the
+        # inverse shared one adjugate: every byte of the table must hold,
+        # including the 0.1 grid, where a different summation order of the
+        # minors changes the last bits
+        out = tmp_path / "eigen.csv"
+        assert run_cli("analyze", *args, "--out", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_moduli_match_closed_form(self, tmp_path):
         out = tmp_path / "eigen.csv"
         run_cli("analyze", "--f-max", 0.5, "--f-step", 0.25, "--out", out)
@@ -485,6 +511,17 @@ class TestRunRepressilator:
         best = manifest["runs"]["revde"]["best_params"]
         assert len(best) == 4
         assert 0.01 <= best[0] <= 10.0 and 1.0 <= best[3] <= 2000.0
+
+    def test_params_history_of_first_repeat(self, tmp_path):
+        # only the first repeat keeps snapshots; its params CSV is the one
+        # the code wrote when every repeat kept them (sha256 of those bytes)
+        cfg = write_config(tmp_path, "problem = repressilator\nmethods = revde\nn = 5\n"
+                                     "generations = 1\nrepeats = 2\nobs_count = 6\n"
+                                     "obs_end = 6\nseed = 3\n")
+        outdir = tmp_path / "out"
+        assert run_cli("run", cfg, "--output-dir", outdir) == 0
+        digest = hashlib.sha256((outdir / "params_revde.csv").read_bytes()).hexdigest()
+        assert digest == "72e3178bb33197712d3b181d116aef111807e543616deb626ce7c012a17c7438"
 
     @pytest.mark.parametrize("cpus, methods, n, expected", [
         (1, "revde", 8, 1), (2, "revde", 8, 2), (64, "de", 4, 4), (64, "de,revde", 4, 12),

@@ -198,6 +198,41 @@ class TestRun:
         gens = [g for g, _, _ in trace.history]
         assert gens == [0, 1, 2, 3]
 
+    def test_history_kept_for_first_repeat_only(self, bounds):
+        cfg = RunConfig(method=Method.REVDE, population_size=6, generations=2, f=0.5, seed=3)
+        traces, _ = run_repeated(cfg, Objective(sphere_batch, bounds), repeats=3,
+                                 keep_history=True)
+        assert all(t.history is None for t in traces[1:])
+        alone = run(cfg, Objective(sphere_batch, bounds), keep_history=True)
+        assert len(traces[0].history) == len(alone.history) == 3
+        for (g, members, values), (g1, members1, values1) in zip(traces[0].history,
+                                                                 alone.history):
+            assert g == g1
+            assert np.array_equal(members, members1) and np.array_equal(values, values1)
+
+    # the largest f whose trials stay finite from a box of +-5: 5 (1 + 2f)
+    # for DE, DEx3 and ADE, about 5 * 2f^3 for RevDE
+    @pytest.mark.parametrize("method, inside, outside", [
+        (Method.DE, 1.7e307, 1e308), (Method.DEX3, 1.7e307, 1e308),
+        (Method.ADE, 1.7e307, 1e308), (Method.REVDE, 2.5e102, 5e102),
+    ])
+    def test_f_overflowing_the_box_rejected(self, bounds, method, inside, outside):
+        calls = []
+
+        def counted(x):
+            calls.append(len(x))
+            return sphere_batch(np.clip(x, -5.0, 5.0))
+
+        config = RunConfig(method=method, population_size=8, generations=2, f=outside)
+        with pytest.raises(ValueError, match=r"f = [0-9.e+]+ overflows float64"):
+            run(config, Objective(counted, bounds))
+        assert calls == []   # raised before the first evaluation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run(RunConfig(method=method, population_size=8, generations=2, f=inside),
+                        Objective(counted, bounds))
+        assert np.isfinite(trace.best_objective).all()
+
 
 class TestBatchSplitting:
     @settings(max_examples=40, deadline=None)

@@ -158,6 +158,11 @@ class TestIntegrate:
             integrate(TRUE_PARAMS, y0_default(), np.array([-1.0, 1.0]))
         with pytest.raises(ValueError):
             integrate(TRUE_PARAMS, y0_default(), np.array([0.0, 1.0, 1.0]))
+        # a NaN time gave the initial state for every sample, an inf time
+        # ran out the step budget
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                integrate(TRUE_PARAMS, times=[0.0, 1.0, bad])
 
     def test_step_budget_exhaustion_raises(self):
         with pytest.raises(IntegrationError):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import revde_recursion
 from revde.transforms import (
-    EigenReport,
     MatrixKind,
     Population,
     apply_triplet_transform,
@@ -407,7 +406,7 @@ class TestEigenReport:
         # antisymmetric part has eigenvalues 0, +-i*sqrt(3)*F, shifted by I
         rep = eigen_report(build_matrix(MatrixKind.ADE_M, 0.5))
         root = np.sqrt(3.0) / 2.0
-        got = sorted(rep.eigenvalues, key=lambda z: z.imag)
+        got = sorted(rep, key=lambda z: z.imag)
         assert abs(got[0] - (1 - 1j * root)) < 1e-9
         assert abs(got[1] - 1.0) < 1e-9
         assert abs(got[2] - (1 + 1j * root)) < 1e-9
@@ -415,34 +414,38 @@ class TestEigenReport:
     def test_identity_triple_one(self):
         for kind in MatrixKind:
             rep = eigen_report(build_matrix(kind, 0.0))
-            assert all(abs(z - 1.0) < 1e-12 for z in rep.eigenvalues)
+            assert all(abs(z - 1.0) < 1e-12 for z in rep)
 
     @pytest.mark.parametrize("kind", list(MatrixKind))
     def test_product_equals_determinant(self, kind):
         for f in F_GRID:
             m = build_matrix(kind, f)
             rep = eigen_report(m)
-            prod = rep.eigenvalues[0] * rep.eigenvalues[1] * rep.eigenvalues[2]
+            prod = rep[0] * rep[1] * rep[2]
             assert abs(prod - determinant(m)) < 1e-9
 
     def test_ade_real_parts_at_least_one(self):
         for f in F_GRID:
             rep = eigen_report(build_matrix(MatrixKind.ADE_M, f))
-            assert min(rep.real_parts) >= 1.0 - 1e-9
+            assert min(z.real for z in rep) >= 1.0 - 1e-9
 
     def test_moduli_product_matches_abs_det(self):
         for kind in MatrixKind:
             for f in (0.125, 0.675, 1.5):
                 m = build_matrix(kind, f)
                 rep = eigen_report(m)
-                assert np.prod(rep.moduli) == pytest.approx(abs(determinant(m)), abs=1e-9)
+                assert np.prod([abs(z) for z in rep]) == pytest.approx(abs(determinant(m)),
+                                                                      abs=1e-9)
 
     def test_report_fields_consistent(self):
+        # a triple of complex numbers, sorted by descending real part, then
+        # modulus, then imaginary part: R at 0.6 has a pair of equal moduli
         rep = eigen_report(build_matrix(MatrixKind.REVDE_R, 0.6))
-        assert isinstance(rep, EigenReport)
-        for z, re, mod in zip(rep.eigenvalues, rep.real_parts, rep.moduli):
-            assert re == z.real
-            assert mod == abs(z)
+        assert isinstance(rep, tuple) and len(rep) == 3
+        assert all(isinstance(z, complex) for z in rep)
+        keys = [(-z.real, -abs(z), -z.imag) for z in rep]
+        assert keys == sorted(keys)
+        assert rep[1] == pytest.approx(rep[2].conjugate())
 
 
 class TestPopulation:
