@@ -1,4 +1,5 @@
-"""Small shared helpers: float formatting, the CSV writer, atomic writes.
+"""Small shared helpers: float formatting, the CSV writer, atomic writes,
+and the process split.
 
 ``write_csv`` is the package's one CSV writer.  Best-so-far traces are
 piecewise constant (a 7,600-row trace holds about 20 distinct values),
@@ -6,14 +7,33 @@ so it cuts a table into segments wherever any column starts a run of
 equal values, formats each segment's ``cells\n`` once, and joins it
 after each of the segment's row labels.  The chunks stream into the temp
 file of ``atomic_write_text``; no whole-file string is built.
+
+``fork_map`` runs independent work side by side: the repressilator fit's
+batch of candidates and ``revde run``'s methods.  Python code holds the
+GIL, so the split uses forked processes, not threads.  Its rules:
+  - share i is items[i::w]; the caller runs share 0 and forks one child
+    per other share, each running the same ``work``;
+  - a child writes its results, a pickled list, to a pipe and leaves
+    with os._exit (0 on success, 1 on any exception); it never returns
+    into the caller;
+  - the caller reads and reaps every child before the call returns or
+    raises, so no process outlives the call;
+  - the share of a child that failed, sent short data or could not be
+    forked is run in the caller, which gives the serial result or
+    raises the serial exception;
+  - ``split_processes`` gives w = min(usable CPUs, items), so with one
+    usable CPU (``taskset -c 0``), one item, or no os.fork the work runs
+    serially in the caller.
+A split inside a share of another split sees every usable CPU too.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import tempfile
 from itertools import chain, islice
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -96,3 +116,62 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
         except OSError:
             pass
         raise
+
+
+# ----------------------------------------------------------------------
+# Process split (rules in the module docstring)
+# ----------------------------------------------------------------------
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def split_processes(k: int) -> int:
+    """Processes a split of ``k`` items runs over."""
+    return min(_usable_cpus(), k) if hasattr(os, "fork") else 1
+
+
+def fork_map(work: Callable[[list], list], items: list, w: int) -> list:
+    """``work(items)`` as a list, share i = ``items[i::w]`` run in process i."""
+    if w < 2:
+        return work(items)
+    out = list(items)
+    children, done = [], {0}
+    try:
+        for i in range(1, w):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:   # no process to spare: the share runs here
+                os.close(r)
+                os.close(wr)
+                break
+            if pid == 0:   # child: never returns into the caller
+                status = 1
+                try:
+                    os.close(r)
+                    with open(wr, "wb") as fh:
+                        pickle.dump(work(items[i::w]), fh, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(wr)
+            children.append((i, pid, r))
+        out[0::w] = work(items[0::w])
+    finally:
+        for i, pid, r in children:
+            with open(r, "rb") as fh:
+                data = fh.read()
+            if os.waitpid(pid, 0)[1] == 0:
+                try:
+                    out[i::w] = pickle.loads(data)
+                    done.add(i)
+                except Exception:   # short, or not loadable here: the share runs here
+                    pass
+    for i in range(1, w):
+        if i not in done:
+            out[i::w] = work(items[i::w])
+    return out

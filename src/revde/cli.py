@@ -14,6 +14,20 @@ write per-method trace CSVs, one aligned summary CSV, and a
 manifest.json (resolved config, seeds, wall time, library version) into
 the output directory.  The manifest is written even when the experiment
 fails mid-way; every CSV is written atomically.
+
+The methods share no state, so ``_util.fork_map`` deals them over
+``method_processes`` = min(usable CPUs, methods) forked processes
+(``taskset -c 0`` gives a serial run).  The manifest records that
+planned count, also when a fork failed and the caller ran the share.
+Each method runs, passes its accounting check and writes its trace in
+its share's process; the caller then writes the summary, the params
+CSVs and the manifest in method order, so every output is the serial
+run's.  A failure is returned, not raised, by the share: the caller
+waits for every share, then raises the first failure in method order,
+and the manifest records what a serial run would have recorded.  So a
+failure does not end a split run early.  MLP runs keep their methods
+serial, because the MLP's matrix products already use the CPUs through
+BLAS threads.
 """
 
 from __future__ import annotations
@@ -29,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import atomic_write_text, row_numbers, write_csv
+from ._util import atomic_write_text, fork_map, row_numbers, split_processes, write_csv
 from .benchmarks import BENCHMARK_NAMES, get_benchmark
 from .engine import (
     BoxBounds,
@@ -272,7 +286,12 @@ def _validate(config: ExperimentConfig, sources: dict) -> None:
             raise invalid("benchmark", f"unknown benchmark {config.benchmark!r}; expected "
                                        f"one of {', '.join(BENCHMARK_NAMES)}")
         config.benchmark = config.benchmark.lower()
-    elif problem == "mlp" and not (config.train_images and config.train_labels):
+    if config.griewank_standard and not (problem == "benchmark"
+                                         and config.benchmark == "griewank"):
+        target = config.benchmark if problem == "benchmark" else problem
+        raise invalid("griewank_standard",
+                      f"griewank_standard applies to the griewank benchmark, not {target!r}")
+    if problem == "mlp" and not (config.train_images and config.train_labels):
         raise invalid("problem", "mlp problem needs --train-images and --train-labels")
 
 
@@ -351,29 +370,54 @@ def _config_dict(config: ExperimentConfig) -> dict:
     return {f.name: _jsonable(getattr(config, f.name)) for f in fields(config)}
 
 
+def _method_processes(config: ExperimentConfig) -> int:
+    """Processes ``revde run`` splits its methods over; the MLP's matrix
+    products already run on BLAS threads, so its methods run serially."""
+    return 1 if config.problem == "mlp" else split_processes(len(config.methods))
+
+
 def _run_method_suite(config: ExperimentConfig, objective: Objective, outdir: Path,
                       manifest: dict, keep_history: bool = False):
     """Shared benchmark/repressilator/mlp loop: traces, summaries, accounting.
-    Every method runs on ``objective``, and is checked by its counter's delta."""
-    summaries = {}
-    results = {}
+
+    Every method runs on ``objective`` in the process of its share, which
+    checks the method's accounting by its counter's delta and writes its
+    trace.  The caller records the methods in order and raises the first
+    method's failure, as a serial run would.
+    """
     # the evaluation labels of every trace and of the summary, built once
     numbers = row_numbers(max(_run_config(config, m).total_evaluations for m in config.methods))
-    for method in config.methods:
+
+    def run_share(methods: list) -> list:
+        """(traces, summary) per method; a failure ends the share."""
+        done = []
+        for method in methods:
+            run_cfg = _run_config(config, method)
+            before = objective.evaluation_counter
+            try:
+                traces, summary = run_repeated(
+                    run_cfg, objective, config.repeats, keep_history=keep_history
+                )
+                counted = objective.evaluation_counter - before
+                expected = run_cfg.total_evaluations * config.repeats
+                if counted != expected:
+                    raise RuntimeError(f"evaluation accounting broke for {method.value}: "
+                                       f"{counted} != {expected}")
+                write_trace_csv(traces[0], outdir / f"trace_{method.value}.csv", numbers)
+            except Exception as exc:
+                return done + [exc] * (len(methods) - len(done))
+            done.append((traces, summary))
+        return done
+
+    summaries = {}
+    results = {}
+    shares = fork_map(run_share, list(config.methods), manifest["method_processes"])
+    for method, result in zip(config.methods, shares):
+        if isinstance(result, Exception):
+            raise result
+        traces, summary = result
         run_cfg = _run_config(config, method)
-        before = objective.evaluation_counter
-        traces, summary = run_repeated(
-            run_cfg, objective, config.repeats, keep_history=keep_history
-        )
-        counted = objective.evaluation_counter - before
-        expected = run_cfg.total_evaluations * config.repeats
-        if counted != expected:
-            raise RuntimeError(
-                f"evaluation accounting broke for {method.value}: {counted} != {expected}"
-            )
-        trace_path = outdir / f"trace_{method.value}.csv"
-        write_trace_csv(traces[0], trace_path, numbers)
-        manifest["outputs"].append(trace_path.name)
+        manifest["outputs"].append(f"trace_{method.value}.csv")
         manifest["runs"][method.value] = {
             "generations": run_cfg.generations,
             "seeds": [config.seed + r for r in range(config.repeats)],
@@ -399,6 +443,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         "outputs": [],
         "runs": {},
         "error": None,
+        "method_processes": _method_processes(config),
     }
     started = time.perf_counter()
     try:
@@ -432,7 +477,7 @@ def run_experiment(config: ExperimentConfig) -> int:
                                               config.beta_bounds, config.alpha_bounds]))
             objective = rep_mod.make_fit_objective(obs, bounds=bounds)
             # processes the fit spreads the largest generation's batch over
-            manifest["fit_processes"] = rep_mod.fit_processes(max(
+            manifest["fit_processes"] = split_processes(max(
                 config.population_size * m.offspring_per_slot for m in config.methods))
 
             results = _run_method_suite(

@@ -5,11 +5,12 @@ config), batches offspring construction per generation, and records a
 best-so-far trace entry for every single objective evaluation.  A
 generation draws all of its slot indices in one RNG call and its
 crossover bits in another.  Each batch goes to the evaluator in one
-call.  The repressilator objective
-splits it over forked processes, one per usable CPU (``taskset -c 0``
-runs it serially); the MLP objective's matrix products run on BLAS
-threads.  Before its first evaluation a run rejects an ``f`` at which a
-trial coordinate could overflow float64 from the objective's box.
+call.  The repressilator objective splits it over forked processes, one
+per usable CPU it is given (``taskset -c 0`` runs it serially), and
+``revde run`` runs the engine runs of its methods side by side the same
+way; the MLP objective's matrix products run on BLAS threads.  Before
+its first evaluation a run rejects an ``f`` at which a trial coordinate
+could overflow float64 from the objective's box.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ __all__ = [
     "IdxMagicError",
     "IdxTruncatedError",
     "IdxCountMismatchError",
+    "IdxSizeError",
     "load_idx",
     "write_idx_images",
     "write_idx_labels",
@@ -120,6 +121,10 @@ class IdxCountMismatchError(IdxError):
     pass
 
 
+class IdxSizeError(IdxError):
+    pass
+
+
 def _read_idx(path, kind: str, ndim: int) -> np.ndarray:
     """The uint8 array of an ``ndim``-D IDX file (plain or gzip): magic
     ``0x0800 + ndim``, one big-endian int32 size per dimension, payload."""
@@ -139,6 +144,8 @@ def _read_idx(path, kind: str, ndim: int) -> np.ndarray:
         raise IdxMagicError(
             f"{path}: bad {kind} magic 0x{magic:08x}, expected 0x{0x800 + ndim:08x}"
         )
+    if min(dims) < 0:
+        raise IdxSizeError(f"{path}: negative {kind} size in {'x'.join(map(str, dims))}")
     expected = header + math.prod(dims)
     if len(data) != expected:
         shape = f" of {'x'.join(map(str, dims[1:]))}" if ndim > 1 else ""

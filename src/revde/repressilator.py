@@ -30,14 +30,13 @@ The stepper skips the log of the second guard for 0 < p < exp(699/n),
 where it cannot fire (``_hill_cutoff``).
 
 Each solve holds the GIL, so the fit objective splits a batch of K rows
-over W = min(usable CPUs, K) processes (``fit_processes``), not threads.
-The rules of the fork:
+over W = ``_util.split_processes(K)`` = min(usable CPUs, K) processes,
+not threads, with ``_util.fork_map`` and the rules given there:
   - share i is rows[i::W]; the caller scores share 0 and forks one
     child per other share, all with the one loss loop of
     ``make_fit_objective``;
-  - a child writes its float64 values to a pipe and leaves with
-    os._exit (0 on success, 1 on any exception); it never returns into
-    the caller;
+  - a child returns its values through a pipe and leaves with
+    os._exit; it never returns into the caller;
   - the caller reads and reaps every child before the batch returns or
     raises, so no process outlives the call;
   - the share of a child that failed, sent short data or could not be
@@ -45,19 +44,20 @@ The rules of the fork:
     raises the serial exception;
   - with one usable CPU (``taskset -c 0``), a one-row batch, or no
     os.fork, the batch runs serially in the caller.
-Values are bit-identical to the serial batch for any W.
+Where ``revde run`` splits its methods over processes too, each of them
+splits its own batches the same way.  Values are bit-identical to the
+serial batch for any W.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from ._util import write_csv
+from ._util import fork_map, split_processes, write_csv
 from .engine import BoxBounds, Objective
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "integrate",
     "generate_observations",
     "make_fit_objective",
-    "fit_processes",
     "write_observations_csv",
     "read_observations_csv",
     "write_param_history_csv",
@@ -503,73 +502,15 @@ def make_fit_objective(
     times = obs.times
     target = obs.mrna
 
-    def losses(rows: list) -> np.ndarray:
-        return np.array([
-            _mrna_distance(*_dopri5(a0, hn, bb, aa, y0, times, *_SOLVE), target)
-            for a0, hn, bb, aa in rows
-        ])
+    def losses(rows: list) -> list:
+        return [_mrna_distance(*_dopri5(a0, hn, bb, aa, y0, times, *_SOLVE), target)
+                for a0, hn, bb, aa in rows]
 
     def batch(x: np.ndarray) -> np.ndarray:
-        return _split_rows(losses, x.tolist())
+        rows = x.tolist()
+        return np.array(fork_map(losses, rows, split_processes(len(rows))), dtype=np.float64)
 
     return Objective(batch, bounds)
-
-
-# ----------------------------------------------------------------------
-# Process split of a fit batch (rules in the module docstring)
-# ----------------------------------------------------------------------
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def fit_processes(k: int) -> int:
-    """Processes the fit objective splits a batch of ``k`` rows over."""
-    return min(_usable_cpus(), k) if hasattr(os, "fork") else 1
-
-
-def _split_rows(score, rows: list) -> np.ndarray:
-    """``score(rows)`` as float64, share i = ``rows[i::w]`` scored in process i."""
-    w = fit_processes(len(rows))
-    if w < 2:
-        return score(rows)
-    out = np.empty(len(rows))
-    children, done = [], {0}
-    try:
-        for i in range(1, w):
-            r, wr = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:   # no process to spare: the share is scored here
-                os.close(r)
-                os.close(wr)
-                break
-            if pid == 0:   # child: never returns into the caller
-                status = 1
-                try:
-                    os.close(r)
-                    with open(wr, "wb") as fh:
-                        fh.write(score(rows[i::w]).tobytes())
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(wr)
-            children.append((i, pid, r))
-        out[0::w] = score(rows[0::w])
-    finally:
-        for i, pid, r in children:
-            with open(r, "rb") as fh:
-                data = fh.read()
-            if os.waitpid(pid, 0)[1] == 0 and len(data) == out[i::w].nbytes:
-                out[i::w] = np.frombuffer(data)
-                done.add(i)
-    for i in range(1, w):
-        if i not in done:
-            out[i::w] = score(rows[i::w])
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Shared fixtures: synthetic image data and acceptance-line reporting."""
+"""Shared fixtures: synthetic image data, acceptance-line reporting, and
+a guard that no test leaves a child process behind."""
+
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +17,19 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in ACCEPTANCE_RESULTS:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process, running or unreaped:
+    ``os.waitpid(-1, WNOHANG)`` raises ``ChildProcessError`` only when
+    the process has no child at all."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process ({'running' if pid == 0 else pid})")
 
 
 def revde_recursion(x1, x2, x3, f):

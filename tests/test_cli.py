@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
 from dataclasses import fields
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revde import cli, mlp, repressilator
+from revde import _util, cli, mlp
 from revde.benchmarks import BENCHMARK_NAMES
 from revde.cli import ConfigError, ExperimentConfig, main, parse_config
 from revde.engine import Method, RunConfig, run_repeated
@@ -228,13 +229,28 @@ class TestConfigParsing:
                             name="same.cfg")
         assert parse_config(same).benchmark == "rastrigin"
 
+    @pytest.mark.parametrize("problem", ["rastrigin", "repressilator", "mlp"])
+    def test_griewank_standard_needs_griewank(self, tmp_path, capsys, problem):
+        cfg = write_config(tmp_path, f"problem = {problem}\ngriewank_standard = true\n")
+        with pytest.raises(ConfigError, match=rf":2: griewank_standard applies to the "
+                                              rf"griewank benchmark, not '{problem}'"):
+            parse_config(cfg)
+        outdir = tmp_path / "out"
+        assert run_cli("run", "/dev/null", "--problem", problem, "--griewank-standard",
+                       "--n", "8", "--generations", "1", "--repeats", "1", "--dim", "2",
+                       "--output-dir", outdir) == 1
+        assert capsys.readouterr().err.startswith("error: flag --griewank-standard: ")
+        assert not outdir.exists()
+        assert parse_config(write_config(tmp_path, "problem = griewank\n"
+                                                   "griewank_standard = true\n")).griewank_standard
+
     def test_negative_seed_rejected(self, tmp_path):
         path = write_config(tmp_path, "problem = rastrigin\nseed = -1\n")
         with pytest.raises(ConfigError, match=r":2: seed must be >= 0"):
             parse_config(path)
 
 
-# one non-default value per config key, valid on top of FUZZ_BASE
+# one non-default value per config key, valid on top of its row's base
 KEY_VALUES = {
     "problem": ("repressilator", "repressilator"),
     "methods": ("revde,de", (Method.REVDE, Method.DE)),
@@ -266,6 +282,8 @@ KEY_VALUES = {
 }
 FIELD_OF = {"n": "population_size", "p": "crossover_rate"}
 FUZZ_BASE = {"problem": "benchmark", "benchmark": "rastrigin"}
+# rows whose key is only valid over another base
+ROW_BASE = {"griewank_standard": dict(FUZZ_BASE, benchmark="griewank")}
 
 
 def flag_argv(key, text):
@@ -277,8 +295,8 @@ def flag_argv(key, text):
 
 
 def base_with(key, text):
-    """FUZZ_BASE with ``key`` set, as config lines; the key's line number."""
-    entries = dict(FUZZ_BASE, **{key: text})
+    """``key``'s base with ``key`` set, as config lines; the key's line number."""
+    entries = dict(ROW_BASE.get(key, FUZZ_BASE), **{key: text})
     lines = [f"{k} = {v}" for k, v in entries.items()]
     return "\n".join(lines) + "\n", list(entries).index(key) + 1
 
@@ -297,9 +315,10 @@ class TestKeyTable:
 
         seen = []
         monkeypatch.setattr(cli, "run_experiment", lambda config: seen.append(config) or 0)
-        base = write_config(tmp_path, base_with("benchmark", "rastrigin")[0])
-        unset = parse_config(base)
         for key, (text, expected) in KEY_VALUES.items():
+            row_base = ROW_BASE.get(key, FUZZ_BASE)
+            base = write_config(tmp_path, base_with("benchmark", row_base["benchmark"])[0])
+            unset = parse_config(base)
             from_file = parse_config(write_config(tmp_path, base_with(key, text)[0], name="k.cfg"))
             assert run_cli("run", base, *flag_argv(key, text)) == 0
             from_flag = seen.pop()
@@ -528,7 +547,7 @@ class TestRunRepressilator:
     ])
     def test_manifest_records_fit_processes(self, tmp_path, monkeypatch,
                                             cpus, methods, n, expected):
-        monkeypatch.setattr(repressilator, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
         cfg = write_config(tmp_path, f"problem = repressilator\nmethods = {methods}\n"
                                      f"n = {n}\ngenerations = 1\nrepeats = 1\n"
                                      "obs_count = 6\nobs_end = 6\n")
@@ -624,6 +643,127 @@ class TestRunMlp:
             expected.append(mlp.classification_error_batch(weights, test)[0])
         assert manifest["runs"]["ade"]["test_error"] == expected
         assert manifest["runs"]["ade"]["test_error_mean"] == np.mean(expected)
+
+
+class TestMethodSplit:
+    """``revde run``'s methods dealt over forked processes, one per usable CPU.
+
+    Each test fakes the CPU count, so the split runs on a 1-CPU machine
+    too.  Outputs are compared with the serial run's (one CPU).
+    """
+
+    SUITE = "problem = rastrigin\ndim = 4\nn = 10\ngenerations = 5\nrepeats = 2\nseed = 3\n"
+    REPRESSILATOR = ("problem = repressilator\nmethods = de,revde\nn = 4\ngenerations = 1\n"
+                     "repeats = 1\nobs_count = 6\nobs_end = 6\nseed = 2\n")
+
+    @staticmethod
+    def run(monkeypatch, tmp_path, cpus, text, *flags):
+        """Exit code, parent's os.fork calls, output bytes and manifest of one run."""
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+        forks, fork = [], os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        outdir = tmp_path / f"cpus{cpus}"
+        code = run_cli("run", write_config(tmp_path, text), "--output-dir", outdir, *flags)
+        monkeypatch.setattr(os, "fork", fork)
+        files = {p.name: p.read_bytes() for p in outdir.iterdir() if p.name != "manifest.json"}
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        manifest.pop("wall_time_seconds")
+        manifest["config"].pop("output_dir")
+        return code, len(forks), files, manifest
+
+    @staticmethod
+    def plant(monkeypatch, failing, exc=ValueError, only_in_children=False):
+        """Make the runs of every method named in ``failing`` raise ``exc``."""
+        run_repeated, parent = cli.run_repeated, os.getpid()
+
+        def planted(config, *args, **kwargs):
+            if config.method.value in failing and not (only_in_children
+                                                       and os.getpid() == parent):
+                raise exc(f"planted in {config.method.value}")
+            return run_repeated(config, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_repeated", planted)
+
+    def test_benchmark_suite_byte_identical(self, monkeypatch, tmp_path):
+        _, _, serial, serial_manifest = self.run(monkeypatch, tmp_path, 1, self.SUITE)
+        assert serial_manifest.pop("method_processes") == 1
+        for cpus in (2, 3, 4, 5):
+            code, forks, files, manifest = self.run(monkeypatch, tmp_path, cpus, self.SUITE)
+            assert code == 0
+            assert forks == min(cpus, 4) - 1
+            assert manifest.pop("method_processes") == min(cpus, 4)
+            assert files == serial
+            assert manifest == serial_manifest
+
+    def test_repressilator_byte_identical(self, monkeypatch, tmp_path):
+        _, _, serial, serial_manifest = self.run(monkeypatch, tmp_path, 1, self.REPRESSILATOR)
+        del serial_manifest["method_processes"], serial_manifest["fit_processes"]
+        for cpus in (2, 3, 4, 5):
+            code, _, files, manifest = self.run(monkeypatch, tmp_path, cpus, self.REPRESSILATOR)
+            assert code == 0
+            assert manifest.pop("method_processes") == 2
+            assert manifest.pop("fit_processes") == min(cpus, 12)   # 12 rows at most
+            assert files == serial
+            assert manifest == serial_manifest
+
+    def test_mlp_methods_run_serially(self, monkeypatch, tmp_path, synth_idx_files):
+        code, forks, files, manifest = self.run(
+            monkeypatch, tmp_path, 4, "problem = mlp\nn = 8\ngenerations = 1\nrepeats = 1\n"
+            "train_size = 40\n", *(f"--{key.replace('_', '-')}={path}"
+                                    for key, path in synth_idx_files.items()))
+        assert code == 0
+        assert forks == 0
+        assert manifest["method_processes"] == 1
+        assert len(files) == 5
+
+    @pytest.mark.parametrize("failing", [("dex3",), ("ade", "dex3"), ("revde",), ("de",)])
+    def test_failure_is_the_serial_one(self, monkeypatch, tmp_path, capsys, failing):
+        # dex3 and revde run in the child of a 2-process split
+        self.plant(monkeypatch, failing)
+        code, _, _, serial_manifest = self.run(monkeypatch, tmp_path, 1, self.SUITE)
+        assert code == 1
+        first = next(m for m in ("de", "dex3", "ade", "revde") if m in failing)
+        assert serial_manifest["error"] == f"ValueError: planted in {first}"
+        assert capsys.readouterr().err == f"error: planted in {first}\n"
+        del serial_manifest["method_processes"]
+        for cpus in (2, 4):
+            code, _, _, manifest = self.run(monkeypatch, tmp_path, cpus, self.SUITE)
+            assert code == 1
+            assert manifest.pop("method_processes") == cpus
+            assert manifest == serial_manifest
+            assert capsys.readouterr().err == f"error: planted in {first}\n"
+
+    def test_failed_child_share_runs_in_the_caller(self, monkeypatch, tmp_path):
+        _, _, serial, serial_manifest = self.run(monkeypatch, tmp_path, 1, self.SUITE)
+        del serial_manifest["method_processes"]
+        self.plant(monkeypatch, ("dex3",), exc=KeyboardInterrupt, only_in_children=True)
+        code, forks, files, manifest = self.run(monkeypatch, tmp_path, 2, self.SUITE)
+        assert (code, forks, manifest.pop("method_processes")) == (0, 1, 2)
+        assert files == serial
+        assert manifest == serial_manifest
+
+    @pytest.mark.parametrize("failing", [(), ("dex3",)])
+    def test_fork_failure_is_serial(self, monkeypatch, tmp_path, capsys, failing):
+        self.plant(monkeypatch, failing)
+        code, _, serial, serial_manifest = self.run(monkeypatch, tmp_path, 1, self.SUITE)
+        del serial_manifest["method_processes"]
+
+        def no_fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        split_code, forks, files, manifest = self.run(monkeypatch, tmp_path, 4, self.SUITE)
+        assert split_code == code == (1 if failing else 0)
+        # the first fork raised; the manifest keeps the planned count
+        assert (forks, manifest.pop("method_processes")) == (1, 4)
+        assert manifest == serial_manifest
+        if not failing:   # a failed split may also leave later methods' traces
+            assert files == serial
 
 
 class TestFailures:

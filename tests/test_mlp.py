@@ -14,6 +14,7 @@ from revde.mlp import (
     SHAPE,
     IdxCountMismatchError,
     IdxMagicError,
+    IdxSizeError,
     IdxTruncatedError,
     ImageDataset,
     classification_error_batch,
@@ -145,6 +146,16 @@ class TestIdxFiles:
         )
         with pytest.raises(IdxCountMismatchError):
             load_idx(tmp_path / "images.idx", tmp_path / "labels.idx")
+
+    def test_negative_size_error(self, tmp_path):
+        # the sizes' product matches the payload, so only the sign is wrong
+        (tmp_path / "images.idx").write_bytes(
+            struct.pack(">iiii", 0x00000803, -1, -2, 2) + bytes(4)
+        )
+        (tmp_path / "labels.idx").write_bytes(struct.pack(">ii", 0x00000801, 1) + bytes(1))
+        with pytest.raises(IdxSizeError, match=r"images\.idx: negative image size in -1x-2x2"):
+            load_idx(tmp_path / "images.idx", tmp_path / "labels.idx")
+        assert issubclass(IdxSizeError, mlp.IdxError)
 
     def test_writers_round_trip_values(self, tmp_path):
         images, labels = make_synthetic_images(6, seed=3)

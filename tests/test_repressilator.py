@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import _reference_dopri5
-from revde import repressilator
+from revde import _util, repressilator
 from revde.engine import BoxBounds
 from revde.repressilator import (
     DEFAULT_INITIAL_STATE,
@@ -289,7 +289,7 @@ class TestProcessSplit:
 
     @staticmethod
     def set_cpus(monkeypatch, cpus):
-        monkeypatch.setattr(repressilator, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
 
     @staticmethod
     def assert_no_children():
@@ -331,9 +331,9 @@ class TestProcessSplit:
 
     def test_processes_per_batch(self, monkeypatch):
         self.set_cpus(monkeypatch, 3)
-        assert [repressilator.fit_processes(k) for k in (0, 1, 2, 3, 600)] == [0, 1, 2, 3, 3]
+        assert [_util.split_processes(k) for k in (0, 1, 2, 3, 600)] == [0, 1, 2, 3, 3]
         monkeypatch.delattr(os, "fork")
-        assert repressilator.fit_processes(600) == 1
+        assert _util.split_processes(600) == 1
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_child_exception_is_the_serial_one(self, monkeypatch, clean_obs, cands, cpus):
@@ -364,7 +364,7 @@ class TestProcessSplit:
             return values if os.getpid() == parent else values[:-1]
 
         self.set_cpus(monkeypatch, 2)
-        assert repressilator._split_rows(score, list(range(5))).tolist() == list(range(5))
+        assert _util.fork_map(score, list(range(5)), _util.split_processes(5)) == list(range(5))
         self.assert_no_children()
 
     def test_fork_failure_scored_in_process(self, monkeypatch, clean_obs, cands):
