@@ -38,7 +38,6 @@ def best_of(fn, repeats: int) -> float:
 def run_worker(repeats: int) -> dict:
     import numpy as np
 
-    from revde import backend_name
     from revde.benchmarks import get_benchmark
     from revde.engine import BoxBounds, Method, Objective, RunConfig, run
     from revde.mlp import ImageDataset, classification_error_batch
@@ -73,7 +72,7 @@ def run_worker(repeats: int) -> dict:
         lambda: run(cfg, Objective(bench.batch, bounds)), max(1, repeats // 4)
     )
 
-    return {"backend": backend_name(), "timings": timings}
+    return {"timings": timings}
 
 
 def main(argv=None) -> int:

@@ -109,11 +109,13 @@ def get_benchmark(name: str, dim: int, griewank_standard: bool = False) -> Bench
     if dim < 1:
         raise ValueError(f"dimensionality must be >= 1, got {dim}")
     kernel, lo, hi = _BENCHMARKS[key]
+    if griewank_standard and kernel is not griewank_batch:
+        # the flag selects Griewank's sum term; the other kernels have none
+        raise ValueError(f"griewank_standard applies to the griewank benchmark, not {key!r}")
     return BenchmarkSpec(
         name=key,
         dim=dim,
         lower=np.full(dim, lo),
         upper=np.full(dim, hi),
-        # the flag selects Griewank's sum term; the other kernels have none
-        griewank_standard=griewank_standard and kernel is griewank_batch,
+        griewank_standard=griewank_standard,
     )

@@ -15,19 +15,14 @@ manifest.json (resolved config, seeds, wall time, library version) into
 the output directory.  The manifest is written even when the experiment
 fails mid-way; every CSV is written atomically.
 
-The methods share no state, so ``_util.fork_map`` deals them over
-``method_processes`` = min(usable CPUs, methods) forked processes
-(``taskset -c 0`` gives a serial run).  The manifest records that
-planned count, also when a fork failed and the caller ran the share.
-Each method runs, passes its accounting check and writes its trace in
-its share's process; the caller then writes the summary, the params
-CSVs and the manifest in method order, so every output is the serial
-run's.  A failure is returned, not raised, by the share: the caller
-waits for every share, then raises the first failure in method order,
-and the manifest records what a serial run would have recorded.  So a
-failure does not end a split run early.  MLP runs keep their methods
-serial, because the MLP's matrix products already use the CPUs through
-BLAS threads.
+The methods share no state, so ``_util.fork_map`` (rules there) deals
+them over ``method_processes`` = ``_util.split_processes(methods)``
+processes, a planned count; MLP runs keep their methods serial, because
+their matrix products already use the CPUs through BLAS threads.  A
+share runs its methods, writes their traces and returns, not raises, a
+failure; the caller writes the summary, the params CSVs and the
+manifest in method order and then raises the first failure, so every
+output is the serial run's.
 """
 
 from __future__ import annotations
@@ -378,12 +373,11 @@ def _method_processes(config: ExperimentConfig) -> int:
 
 def _run_method_suite(config: ExperimentConfig, objective: Objective, outdir: Path,
                       manifest: dict, keep_history: bool = False):
-    """Shared benchmark/repressilator/mlp loop: traces, summaries, accounting.
+    """Shared benchmark/repressilator/mlp loop: traces and summaries.
 
     Every method runs on ``objective`` in the process of its share, which
-    checks the method's accounting by its counter's delta and writes its
-    trace.  The caller records the methods in order and raises the first
-    method's failure, as a serial run would.
+    writes its trace.  The caller records the methods in order and raises
+    the first method's failure, as a serial run would.
     """
     # the evaluation labels of every trace and of the summary, built once
     numbers = row_numbers(max(_run_config(config, m).total_evaluations for m in config.methods))
@@ -392,17 +386,9 @@ def _run_method_suite(config: ExperimentConfig, objective: Objective, outdir: Pa
         """(traces, summary) per method; a failure ends the share."""
         done = []
         for method in methods:
-            run_cfg = _run_config(config, method)
-            before = objective.evaluation_counter
             try:
-                traces, summary = run_repeated(
-                    run_cfg, objective, config.repeats, keep_history=keep_history
-                )
-                counted = objective.evaluation_counter - before
-                expected = run_cfg.total_evaluations * config.repeats
-                if counted != expected:
-                    raise RuntimeError(f"evaluation accounting broke for {method.value}: "
-                                       f"{counted} != {expected}")
+                traces, summary = run_repeated(_run_config(config, method), objective,
+                                               config.repeats, keep_history=keep_history)
                 write_trace_csv(traces[0], outdir / f"trace_{method.value}.csv", numbers)
             except Exception as exc:
                 return done + [exc] * (len(methods) - len(done))

@@ -5,12 +5,13 @@ config), batches offspring construction per generation, and records a
 best-so-far trace entry for every single objective evaluation.  A
 generation draws all of its slot indices in one RNG call and its
 crossover bits in another.  Each batch goes to the evaluator in one
-call.  The repressilator objective splits it over forked processes, one
-per usable CPU it is given (``taskset -c 0`` runs it serially), and
-``revde run`` runs the engine runs of its methods side by side the same
-way; the MLP objective's matrix products run on BLAS threads.  Before
-its first evaluation a run rejects an ``f`` at which a trial coordinate
-could overflow float64 from the objective's box.
+call; how the repressilator objective and ``revde run`` spread work
+over processes is set out in :mod:`revde._util`.  A generation is one
+:class:`~revde.transforms.Population`, always evaluated, and a kept
+history is the run's own populations.  Before its first evaluation a
+run rejects an ``f`` at which a trial coordinate could overflow float64
+from the objective's box; after its last it checks the objective's
+evaluation count against the budget.
 """
 
 from __future__ import annotations
@@ -185,14 +186,17 @@ class RunConfig:
 
 @dataclass
 class RunTrace:
-    """Per-evaluation best-so-far record for one run; entry i is evaluation i+1."""
+    """Per-evaluation best-so-far record for one run; entry i is evaluation i+1.
+
+    ``history``, when kept, is the run's own populations, generation 0
+    (the initial one) to G; ``history[-1] is final_population``.
+    """
 
     best_objective: np.ndarray
     final_population: Population
     evaluations: int
     nan_evaluations: int
-    # (generation, members copy, values copy) per generation when requested
-    history: Optional[list] = None
+    history: Optional[list[Population]] = None
 
     @property
     def final_best(self) -> float:
@@ -207,10 +211,9 @@ class RunSummary:
     std: np.ndarray
 
 
-def initialize_population(bounds: BoxBounds, n: int, rng: np.random.Generator) -> Population:
-    """Uniform coordinate-wise sample of n candidates inside the box."""
-    members = rng.uniform(bounds.lower, bounds.upper, size=(n, bounds.dim))
-    return Population(members=members, values=None, generation=0)
+def initialize_population(bounds: BoxBounds, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform coordinate-wise sample of n candidates inside the box, ``(n, D)``."""
+    return rng.uniform(bounds.lower, bounds.upper, size=(n, bounds.dim))
 
 
 def _sample_slot_indices(n: int, per_slot: int, rng: np.random.Generator) -> np.ndarray:
@@ -285,7 +288,11 @@ def run(
 
     Raises ValueError before the first evaluation where the box's largest
     |coordinate| times the operator's largest absolute row sum overflows;
-    DE's and DEx3's trials are ADE's first row ``[1, f, -f]``.
+    DE's and DEx3's trials are ADE's first row ``[1, f, -f]``.  Raises
+    RuntimeError after the last generation where the objective's counter
+    moved by other than ``config.total_evaluations``.  ``keep_history``
+    keeps every population of the run, uncopied: no operator or objective
+    of this package writes into a population's arrays.
     """
     operator = build_matrix(config.method.matrix_kind or MatrixKind.ADE_M, config.f)
     box = np.abs([objective.bounds.lower, objective.bounds.upper]).max()
@@ -298,20 +305,15 @@ def run(
     counter_before = objective.evaluation_counter
     nan_before = objective.nan_evaluations
 
-    population = initialize_population(objective.bounds, config.population_size, rng)
+    members = initialize_population(objective.bounds, config.population_size, rng)
+    population = Population(members, objective.evaluate(members))
     n = config.population_size
     total = config.total_evaluations
     best_stream = np.empty(total, dtype=np.float64)
-
-    values = objective.evaluate(population.members)
-    population = Population(members=population.members, values=values, generation=0)
-    best_stream[:n] = np.minimum.accumulate(values)
+    best_stream[:n] = np.minimum.accumulate(population.values)
     best = best_stream[n - 1]
     cursor = n
-
-    history = None
-    if keep_history:
-        history = [(0, population.members.copy(), values.copy())]
+    history = [population] if keep_history else None
 
     for _ in range(config.generations):
         offspring = _offspring_for_generation(population, config, objective.bounds, rng)
@@ -324,15 +326,16 @@ def run(
         cursor += k
         population = select_survivors(population, offspring, off_values)
         if keep_history:
-            history.append(
-                (population.generation, population.members.copy(), population.values.copy())
-            )
+            history.append(population)
 
-    assert cursor == total
+    evaluations = objective.evaluation_counter - counter_before
+    if evaluations != total:
+        raise RuntimeError(f"evaluation accounting broke for {config.method.value}: "
+                           f"{evaluations} != {total}")
     return RunTrace(
         best_objective=best_stream,
         final_population=population,
-        evaluations=objective.evaluation_counter - counter_before,
+        evaluations=evaluations,
         nan_evaluations=objective.nan_evaluations - nan_before,
         history=history,
     )
@@ -346,8 +349,8 @@ def run_repeated(
 ) -> tuple[list[RunTrace], RunSummary]:
     """Run ``repeats`` independent repetitions; repeat r uses seed+r.
 
-    ``keep_history`` keeps the population snapshots of the first repeat
-    only; the other traces carry ``history=None``.
+    ``keep_history`` keeps the populations of the first repeat only; the
+    other traces carry ``history=None``.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")

@@ -29,24 +29,11 @@ Numerical guards of the right-hand side:
 The stepper skips the log of the second guard for 0 < p < exp(699/n),
 where it cannot fire (``_hill_cutoff``).
 
-Each solve holds the GIL, so the fit objective splits a batch of K rows
-over W = ``_util.split_processes(K)`` = min(usable CPUs, K) processes,
-not threads, with ``_util.fork_map`` and the rules given there:
-  - share i is rows[i::W]; the caller scores share 0 and forks one
-    child per other share, all with the one loss loop of
-    ``make_fit_objective``;
-  - a child returns its values through a pipe and leaves with
-    os._exit; it never returns into the caller;
-  - the caller reads and reaps every child before the batch returns or
-    raises, so no process outlives the call;
-  - the share of a child that failed, sent short data or could not be
-    forked is scored in the caller, which gives the serial values or
-    raises the serial exception;
-  - with one usable CPU (``taskset -c 0``), a one-row batch, or no
-    os.fork, the batch runs serially in the caller.
-Where ``revde run`` splits its methods over processes too, each of them
-splits its own batches the same way.  Values are bit-identical to the
-serial batch for any W.
+Each solve holds the GIL, so the fit objective deals a batch of K rows
+over ``_util.split_processes(K)`` forked processes with
+``_util.fork_map``, whose docstring gives the rules; every process runs
+the one loss loop of ``make_fit_objective``, so values are bit-identical
+to the serial batch for any process count.
 """
 
 from __future__ import annotations
@@ -544,8 +531,9 @@ def read_observations_csv(path) -> ObservationSet:
 
 
 def write_param_history_csv(history, path) -> None:
-    """Population snapshots as rows of gen,alpha0,n,beta,alpha,objective."""
-    gens = list(chain.from_iterable([str(int(gen))] * len(values) for gen, _, values in history))
-    members = np.concatenate([m for _, m, _ in history]) if history else np.empty((0, 0))
-    values = np.concatenate([v for _, _, v in history]) if history else np.empty(0)
+    """A run's populations (``RunTrace.history``) as rows of
+    gen,alpha0,n,beta,alpha,objective."""
+    gens = list(chain.from_iterable([str(p.generation)] * p.size for p in history))
+    members = np.concatenate([p.members for p in history]) if history else np.empty((0, 0))
+    values = np.concatenate([p.values for p in history]) if history else np.empty(0)
     write_csv(path, "gen,alpha0,n,beta,alpha,objective", gens, [*members.T, values])

@@ -1,7 +1,7 @@
 """Population transformations for differential evolution and its triplet variants.
 
 Candidates are float64 rows of length ``D``; a :class:`Population` keeps
-the members as an ``(N, D)`` matrix together with their cached objective
+the members as an ``(N, D)`` matrix together with their objective
 values.  Every operator works on whole batches with numpy broadcasting
 over the leading axes, and the optimization loop in :mod:`revde.engine`
 calls these same functions; one candidate or one triplet is the same
@@ -64,15 +64,16 @@ def _check_scale(f: float) -> float:
 
 @dataclass
 class Population:
-    """An ordered set of candidates plus evaluation bookkeeping.
+    """One generation of a run: its candidates and their objective values.
 
-    ``members`` is ``(N, D)``; ``values`` caches the objective value per
-    member (``None`` until evaluated).  At least four members are
-    required so a base plus a distinct triplet is always samplable.
+    ``members`` is ``(N, D)`` and ``values`` holds each member's objective
+    value, ``(N,)``; a population is always evaluated.  At least four
+    members are required so a base plus a distinct triplet is always
+    samplable.
     """
 
     members: np.ndarray
-    values: np.ndarray | None = None
+    values: np.ndarray
     generation: int = 0
 
     def __post_init__(self):
@@ -84,12 +85,9 @@ class Population:
             raise ValueError(f"population needs at least 4 members, got {n}")
         if d < 1:
             raise ValueError("members must have dimensionality >= 1")
-        if self.values is not None:
-            self.values = np.asarray(self.values, dtype=np.float64)
-            if self.values.shape != (n,):
-                raise ValueError(
-                    f"values must have shape ({n},), got {self.values.shape}"
-                )
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.shape != (n,):
+            raise ValueError(f"values must have shape ({n},), got {self.values.shape}")
         if self.generation < 0:
             raise ValueError("generation must be non-negative")
 
@@ -101,13 +99,7 @@ class Population:
     def dim(self) -> int:
         return self.members.shape[1]
 
-    @property
-    def evaluated(self) -> bool:
-        return self.values is not None
-
     def best_index(self) -> int:
-        if self.values is None:
-            raise ValueError("population has no cached objective values")
         return int(np.argmin(self.values))
 
 
@@ -241,8 +233,6 @@ def select_survivors(
     survivors are emitted in stable pool order, so a population whose
     offspring are all worse comes back unchanged.
     """
-    if old.values is None:
-        raise ValueError("old population has unevaluated members")
     offspring = np.asarray(offspring, dtype=np.float64)
     offspring_values = np.asarray(offspring_values, dtype=np.float64)
     if offspring.ndim != 2 or offspring.shape[1] != old.dim:

@@ -186,3 +186,8 @@ class TestLookup:
     def test_spec_griewank_standard_plumbed(self):
         spec = get_benchmark("griewank", 2, griewank_standard=True)
         assert spec.batch([[1.0, 1.0]])[0] == pytest.approx(0.5897380911762422, abs=1e-13)
+
+    @pytest.mark.parametrize("name", ["rastrigin", "Salomon", "schwefel"])
+    def test_griewank_standard_needs_griewank(self, name):
+        with pytest.raises(ValueError, match=f"griewank benchmark, not {name.lower()!r}"):
+            get_benchmark(name, 2, griewank_standard=True)

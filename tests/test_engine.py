@@ -109,20 +109,19 @@ class TestRunConfig:
 
 class TestInitialization:
     def test_uniform_within_bounds(self, bounds):
-        pop = initialize_population(bounds, 50, np.random.default_rng(0))
-        assert pop.size == 50 and pop.dim == 3
-        assert (pop.members >= -5).all() and (pop.members <= 5).all()
-        assert pop.generation == 0 and not pop.evaluated
+        members = initialize_population(bounds, 50, np.random.default_rng(0))
+        assert members.shape == (50, 3)
+        assert (members >= -5).all() and (members <= 5).all()
 
     def test_degenerate_interval(self):
         tight = BoxBounds(np.array([0.0]), np.array([1e-12]))
-        pop = initialize_population(tight, 4, np.random.default_rng(1))
-        assert (pop.members >= 0).all() and (pop.members <= 1e-12).all()
+        members = initialize_population(tight, 4, np.random.default_rng(1))
+        assert (members >= 0).all() and (members <= 1e-12).all()
 
     def test_seed_reproducibility(self, bounds):
         a = initialize_population(bounds, 10, np.random.default_rng(7))
         b = initialize_population(bounds, 10, np.random.default_rng(7))
-        assert np.array_equal(a.members, b.members)
+        assert np.array_equal(a, b)
 
 
 class TestRun:
@@ -155,10 +154,10 @@ class TestRun:
         trace = run(cfg, obj, keep_history=True)
         assert (trace.best_objective == 3.25).all()
         # ties keep the old members: population never changes
-        first = trace.history[0][1]
-        for _, members, values in trace.history[1:]:
-            assert np.array_equal(members, first)
-            assert (values == 3.25).all()
+        first = trace.history[0].members
+        for pop in trace.history[1:]:
+            assert np.array_equal(pop.members, first)
+            assert (pop.values == 3.25).all()
 
     def test_same_seed_identical_traces(self, bounds):
         cfg = RunConfig(method=Method.ADE, population_size=9, generations=7, f=0.6, seed=33)
@@ -195,8 +194,21 @@ class TestRun:
         cfg = RunConfig(method=Method.DE, population_size=5, generations=3, f=0.5, seed=0)
         trace = run(cfg, obj, keep_history=True)
         assert len(trace.history) == 4   # init + one per generation
-        gens = [g for g, _, _ in trace.history]
+        gens = [pop.generation for pop in trace.history]
         assert gens == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_history_is_the_runs_populations(self, method, bounds):
+        cfg = RunConfig(method=method, population_size=8, generations=3, f=0.5, seed=6)
+        trace = run(cfg, Objective(sphere_batch, bounds), keep_history=True)
+        assert [pop.generation for pop in trace.history] == [0, 1, 2, 3]
+        assert trace.history[-1] is trace.final_population
+        # generation 0 is the run's draw and its values, unchanged by the run
+        first = trace.history[0]
+        assert np.array_equal(first.members, initialize_population(
+            bounds, 8, np.random.default_rng(6)))
+        assert np.array_equal(first.values, sphere_batch(first.members))
+        assert trace.best_objective[7] == first.values.min()
 
     def test_history_kept_for_first_repeat_only(self, bounds):
         cfg = RunConfig(method=Method.REVDE, population_size=6, generations=2, f=0.5, seed=3)
@@ -205,10 +217,22 @@ class TestRun:
         assert all(t.history is None for t in traces[1:])
         alone = run(cfg, Objective(sphere_batch, bounds), keep_history=True)
         assert len(traces[0].history) == len(alone.history) == 3
-        for (g, members, values), (g1, members1, values1) in zip(traces[0].history,
-                                                                 alone.history):
-            assert g == g1
-            assert np.array_equal(members, members1) and np.array_equal(values, values1)
+        for pop, pop1 in zip(traces[0].history, alone.history):
+            assert pop.generation == pop1.generation
+            assert np.array_equal(pop.members, pop1.members)
+            assert np.array_equal(pop.values, pop1.values)
+
+    def test_counter_drift_is_an_accounting_error(self, bounds):
+        obj = Objective(sphere_batch, bounds)
+
+        def drifting(x):
+            obj.evaluation_counter += 1   # an evaluator that counts on its own too
+            return sphere_batch(x)
+
+        obj.batch_fn = drifting
+        cfg = RunConfig(method=Method.REVDE, population_size=6, generations=2, f=0.5)
+        with pytest.raises(RuntimeError, match=r"accounting broke for revde: 45 != 42"):
+            run(cfg, obj)
 
     # the largest f whose trials stay finite from a box of +-5: 5 (1 + 2f)
     # for DE, DEx3 and ADE, about 5 * 2f^3 for RevDE

@@ -28,6 +28,7 @@ from revde.repressilator import (
     write_observations_csv,
     write_param_history_csv,
 )
+from revde.transforms import Population
 
 
 def y0_default():
@@ -433,17 +434,17 @@ class TestCsvInterchange:
 
     def test_param_history_schema(self, tmp_path):
         history = [
-            (0, np.array([[1.0, 2.0, 5.0, 1000.0]]), np.array([3.5])),
-            (1, np.array([[1.5, 2.1, 5.2, 990.0], [0.9, 1.9, 4.8, 1010.0]]),
-             np.array([2.5, 2.25])),
+            Population(np.tile([1.0, 2.0, 5.0, 1000.0], (4, 1)), np.full(4, 3.5)),
+            Population(np.array([[1.5, 2.1, 5.2, 990.0], [0.9, 1.9, 4.8, 1010.0]] * 2),
+                       np.array([2.5, 2.25] * 2), generation=1),
         ]
         path = tmp_path / "hist.csv"
         write_param_history_csv(history, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "gen,alpha0,n,beta,alpha,objective"
-        assert len(lines) == 4
+        assert len(lines) == 9
         assert lines[1] == "0,1.0,2.0,5.0,1000.0,3.5"
-        assert lines[3].startswith("1,0.9,")
+        assert lines[6].startswith("1,0.9,")
 
 
 GOLDEN_PATH = Path(__file__).with_name("repressilator_golden.json")

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from revde._util import atomic_write_text, fmt_float, row_numbers, write_csv
 from revde.cli import _write_combined_summary
 from revde.engine import Method, RunSummary, RunTrace, write_trace_csv
+from revde.transforms import Population
 from revde.repressilator import (
     ObservationSet,
     write_observations_csv,
@@ -151,14 +152,16 @@ class TestWriteCsv:
         rng = np.random.default_rng(3)
         members = rng.uniform(0.0, 5.0, size=(4, 4))
         values = np.array([2.0, np.inf, 2.0, 0.5])
-        history = [(0, members, values), (1, members[::-1].copy(), values[::-1].copy()),
-                   (2, np.tile(members[:1], (4, 1)), np.full(4, 0.5))]   # equal rows
+        history = [Population(members, values),
+                   Population(members[::-1], values[::-1], generation=1),
+                   Population(np.tile(members[:1], (4, 1)), np.full(4, 0.5),
+                              generation=2)]   # equal rows
         path = tmp_path / "params.csv"
         write_param_history_csv(history, path)
         lines = ["gen,alpha0,n,beta,alpha,objective"]
-        for gen, m, v in history:
+        for gen, pop in enumerate(history):
             lines += [",".join([str(gen), *map(fmt_float, row), fmt_float(value)])
-                      for row, value in zip(m, v)]
+                      for row, value in zip(pop.members, pop.values)]
         assert path.read_text() == "\n".join(lines) + "\n"
         write_param_history_csv([], path)
         assert path.read_text() == "gen,alpha0,n,beta,alpha,objective\n"
