@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "BenchmarkSpec",
     "BENCHMARK_NAMES",
+    "check_griewank_standard",
     "get_benchmark",
     "griewank_batch",
     "rastrigin_batch",
@@ -99,6 +100,14 @@ class BenchmarkSpec:
         return kernel(x, standard=True) if self.griewank_standard else kernel(x)
 
 
+def check_griewank_standard(name: str, griewank_standard: bool) -> None:
+    """Reject ``griewank_standard`` for ``name``, a benchmark key or another
+    problem, unless it is Griewank: the flag selects Griewank's sum term,
+    and no other problem has one."""
+    if griewank_standard and name != "griewank":
+        raise ValueError(f"griewank_standard applies to the griewank benchmark, not {name!r}")
+
+
 def get_benchmark(name: str, dim: int, griewank_standard: bool = False) -> BenchmarkSpec:
     """Look up a benchmark by name with its standard bounds at ``dim``."""
     key = name.strip().lower()
@@ -108,10 +117,8 @@ def get_benchmark(name: str, dim: int, griewank_standard: bool = False) -> Bench
         )
     if dim < 1:
         raise ValueError(f"dimensionality must be >= 1, got {dim}")
-    kernel, lo, hi = _BENCHMARKS[key]
-    if griewank_standard and kernel is not griewank_batch:
-        # the flag selects Griewank's sum term; the other kernels have none
-        raise ValueError(f"griewank_standard applies to the griewank benchmark, not {key!r}")
+    check_griewank_standard(key, griewank_standard)
+    _, lo, hi = _BENCHMARKS[key]
     return BenchmarkSpec(
         name=key,
         dim=dim,

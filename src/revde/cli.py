@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from ._util import atomic_write_text, fork_map, row_numbers, split_processes, write_csv
-from .benchmarks import BENCHMARK_NAMES, get_benchmark
+from .benchmarks import BENCHMARK_NAMES, check_griewank_standard, get_benchmark
 from .engine import (
     BoxBounds,
     Method,
@@ -277,15 +277,16 @@ def _validate(config: ExperimentConfig, sources: dict) -> None:
     if problem == "benchmark":
         if not config.benchmark:
             raise invalid("problem", "benchmark problem needs 'benchmark = <name>' or --benchmark")
-        if config.benchmark.lower() not in BENCHMARK_NAMES:
-            raise invalid("benchmark", f"unknown benchmark {config.benchmark!r}; expected "
-                                       f"one of {', '.join(BENCHMARK_NAMES)}")
-        config.benchmark = config.benchmark.lower()
-    if config.griewank_standard and not (problem == "benchmark"
-                                         and config.benchmark == "griewank"):
-        target = config.benchmark if problem == "benchmark" else problem
-        raise invalid("griewank_standard",
-                      f"griewank_standard applies to the griewank benchmark, not {target!r}")
+        try:
+            # the name's check and key; a 1-D lookup builds no dim-sized box
+            config.benchmark = get_benchmark(config.benchmark, 1).name
+        except ValueError as exc:
+            raise invalid("benchmark", str(exc)) from None
+    try:
+        check_griewank_standard(config.benchmark if problem == "benchmark" else problem,
+                                config.griewank_standard)
+    except ValueError as exc:
+        raise invalid("griewank_standard", str(exc)) from None
     if problem == "mlp" and not (config.train_images and config.train_labels):
         raise invalid("problem", "mlp problem needs --train-images and --train-labels")
 
@@ -559,6 +560,8 @@ def main(argv=None) -> int:
             raise ConfigError("--f-step must be positive and finite")
         if not (math.isfinite(args.f_max) and args.f_max >= args.f_step):
             raise ConfigError("--f-max must be finite and at least one --f-step")
+        if not math.isfinite(args.f_max / args.f_step):
+            raise ConfigError("--f-max / --f-step must be a finite number of grid steps")
         _write_eigen_csv(args.out, args.f_max, args.f_step)
         return 0
     except (ConfigError, OSError) as exc:

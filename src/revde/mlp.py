@@ -8,10 +8,9 @@ hidden->output block (200 entries).  The predicted class is the argmax
 of the output logits; :func:`classification_error_batch` scores a
 ``(K, 4120)`` batch, and one candidate is a one-row batch.
 
-Includes one IDX reader and one IDX writer (the MNIST distribution
-format, gzip detected by magic bytes) that serve both images (3-D) and
-labels (1-D): the magic is ``0x0800`` plus the number of dimensions, and
-each kind keeps its own checks around them.  Also 2x2 average-pool
+Includes one IDX reader (the MNIST distribution format, gzip detected
+by magic bytes) that serves both images (3-D) and labels (1-D): the
+magic is ``0x0800`` plus the number of dimensions.  Also 2x2 average-pool
 downsampling of ``(N, 784)`` rows of 28x28 images to ``(N, 196)``.
 """
 
@@ -36,8 +35,6 @@ __all__ = [
     "IdxCountMismatchError",
     "IdxSizeError",
     "load_idx",
-    "write_idx_images",
-    "write_idx_labels",
     "downsample",
     "classification_error_batch",
     "prepare_dataset",
@@ -155,14 +152,6 @@ def _read_idx(path, kind: str, ndim: int) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8, offset=header).reshape(dims)
 
 
-def _write_idx(path, arr: np.ndarray) -> None:
-    """Write a uint8 array in IDX format, gzip-compressed if ``path`` ends in .gz."""
-    payload = struct.pack(f">{1 + arr.ndim}i", 0x800 + arr.ndim, *arr.shape) + arr.tobytes()
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wb") as fh:
-        fh.write(payload)
-
-
 def load_idx(images_path, labels_path) -> ImageDataset:
     """Read an IDX image/label file pair (plain or gzip-compressed)."""
     images = _read_idx(images_path, "image", 3)
@@ -174,26 +163,6 @@ def load_idx(images_path, labels_path) -> ImageDataset:
         )
     rows = images.reshape(images.shape[0], math.prod(images.shape[1:]))
     return ImageDataset(images=rows.astype(np.float64) / 255.0, labels=labels.astype(np.int64))
-
-
-def write_idx_images(path, images: np.ndarray) -> None:
-    """Write uint8 images of shape (N, H, W) in IDX format (gzip if *.gz)."""
-    arr = np.asarray(images)
-    if arr.ndim != 3:
-        raise ValueError(f"images must be (N, H, W), got shape {arr.shape}")
-    if arr.dtype != np.uint8:
-        raise ValueError(f"images must be uint8, got {arr.dtype}")
-    _write_idx(path, arr)
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    """Write class labels 0..255 as a 1-D IDX file (gzip if *.gz)."""
-    arr = np.asarray(labels)
-    if arr.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {arr.shape}")
-    if arr.min() < 0 or arr.max() > 255:
-        raise ValueError("labels must fit in a byte")
-    _write_idx(path, arr.astype(np.uint8))
 
 
 def downsample(images: np.ndarray) -> np.ndarray:

@@ -8,6 +8,9 @@ protein equations are -beta * (p - m).
 Sample times obey one rule, checked by ``_sample_times`` for both
 ``integrate`` and ``ObservationSet``: a non-empty 1-D vector of finite
 times, starting at or after 0 and strictly increasing.
+A parameter set is one row (alpha0, n, beta, alpha) of four finite,
+non-negative numbers, the rule ``_param_row`` checks for ``integrate``
+and for the fit's box.
 
 The integrator is an adaptive Dormand-Prince 5(4) scheme with FSAL and
 cubic Hermite dense output at the requested sample times.  It is the
@@ -49,7 +52,6 @@ from .engine import BoxBounds, Objective
 
 __all__ = [
     "IntegrationError",
-    "RepressilatorParams",
     "ObservationSet",
     "TRUE_PARAMS",
     "DEFAULT_INITIAL_STATE",
@@ -68,34 +70,9 @@ class IntegrationError(RuntimeError):
     """The adaptive stepper could not reach the end of the horizon."""
 
 
-@dataclass(frozen=True)
-class RepressilatorParams:
-    """The four free parameters, ordered (alpha0, n, beta, alpha)."""
-
-    alpha0: float
-    n: float
-    beta: float
-    alpha: float
-
-    def __post_init__(self):
-        vals = (self.alpha0, self.n, self.beta, self.alpha)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"parameters must be finite, got {vals}")
-        if any(v < 0 for v in vals):
-            raise ValueError(f"parameters must be non-negative, got {vals}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha0, self.n, self.beta, self.alpha])
-
-    @classmethod
-    def from_array(cls, x) -> "RepressilatorParams":
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (4,):
-            raise ValueError(f"expected 4 parameters, got shape {x.shape}")
-        return cls(alpha0=float(x[0]), n=float(x[1]), beta=float(x[2]), alpha=float(x[3]))
-
-
-TRUE_PARAMS = RepressilatorParams(alpha0=1.0, n=2.0, beta=5.0, alpha=1000.0)
+# (alpha0, n, beta, alpha); read-only, as build_matrix's matrices are
+TRUE_PARAMS = np.array([1.0, 2.0, 5.0, 1000.0])
+TRUE_PARAMS.setflags(write=False)
 DEFAULT_INITIAL_STATE = np.array([0.0, 2.0, 0.0, 1.0, 0.0, 3.0])
 
 # wide box around both the true value and the basin the optimizer
@@ -109,6 +86,21 @@ DEFAULT_PARAM_BOUNDS = BoxBounds(
 def default_observation_times() -> np.ndarray:
     """40 uniformly spaced sample times spanning [0, 40]."""
     return np.linspace(0.0, 40.0, 40)
+
+
+def _param_row(params, what: str = "parameters") -> np.ndarray:
+    """``params`` as a float64 row once checked: a parameter set is
+    (alpha0, n, beta, alpha), three rates and a Hill exponent, each finite
+    and never negative.  ``what`` names the row in the error."""
+    x = np.asarray(params, dtype=np.float64)
+    if x.shape != (4,):
+        raise ValueError(f"{what} must be 4 numbers (alpha0, n, beta, alpha), "
+                         f"got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite, got {x.tolist()}")
+    if np.any(x < 0):
+        raise ValueError(f"{what} must be non-negative, got {x.tolist()}")
+    return x
 
 
 def _sample_times(times) -> np.ndarray:
@@ -428,19 +420,16 @@ _SOLVE = (1e-6, 1e-8, 200_000)
 def integrate(params, initial=None, times=None, max_steps: int = _SOLVE[2]) -> np.ndarray:
     """Solve the six rate equations from t=0, sampled at ``times``.
 
-    ``params`` may be a RepressilatorParams or a length-4 array
-    (alpha0, n, beta, alpha); ``times`` obey ``_sample_times``.  Raises
-    IntegrationError when the adaptive stepper fails; callers fitting
-    parameters map that to +inf.
+    ``params`` is a row (alpha0, n, beta, alpha) that obeys ``_param_row``;
+    ``times`` obey ``_sample_times``.  Raises IntegrationError when the
+    adaptive stepper fails; callers fitting parameters map that to +inf.
     """
-    if not isinstance(params, RepressilatorParams):
-        params = RepressilatorParams.from_array(params)
+    a0, hn, bb, aa = _param_row(params)
     y0 = DEFAULT_INITIAL_STATE if initial is None else np.asarray(initial, dtype=np.float64)
     if y0.shape != (6,):
         raise ValueError(f"initial state must have 6 entries, got shape {y0.shape}")
     t = _sample_times(default_observation_times() if times is None else times)
-    out, status = _dopri5(params.alpha0, params.n, params.beta, params.alpha, y0, t,
-                          *_SOLVE[:2], int(max_steps))
+    out, status = _dopri5(a0, hn, bb, aa, y0, t, *_SOLVE[:2], int(max_steps))
     if status != 0:
         raise IntegrationError(_STATUS_MESSAGES.get(status, f"status {status}"))
     return out
@@ -451,12 +440,11 @@ def generate_observations(
     initial=None,
     times=None,
     noise_std: float = 5.0,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> ObservationSet:
-    """Simulate mRNA at the sample times and add iid Gaussian noise."""
+    """Simulate mRNA at the sample times and add iid Gaussian noise drawn from ``rng``."""
     times = _sample_times(default_observation_times() if times is None else times)
-    if rng is None:
-        rng = np.random.default_rng()
     trajectory = integrate(true_params, initial=initial, times=times)
     mrna = trajectory[:, (0, 2, 4)] + rng.normal(0.0, noise_std, size=(times.size, 3))
     return ObservationSet(times=times, mrna=mrna)
@@ -482,9 +470,7 @@ def make_fit_objective(
 
     Every candidate is solved from ``DEFAULT_INITIAL_STATE``.
     """
-    if np.any(bounds.lower < 0):
-        raise ValueError(f"parameters are non-negative, but the box reaches down to "
-                         f"{bounds.lower.tolist()}")
+    _param_row(bounds.lower, "the box's lower corner")
     y0 = DEFAULT_INITIAL_STATE
     times = obs.times
     target = obs.mrna

@@ -1,7 +1,9 @@
-"""Shared fixtures: synthetic image data, acceptance-line reporting, and
-a guard that no test leaves a child process behind."""
+"""Shared fixtures: synthetic image data and an IDX writer, acceptance-line
+reporting, and a guard that no test leaves a child process behind."""
 
+import gzip
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -60,11 +62,18 @@ def make_synthetic_images(n: int, seed: int, template_seed: int = 5):
     return (images * 255).astype(np.uint8), labels.astype(np.uint8)
 
 
+def write_idx(path, arr):
+    """A uint8 array as an IDX file, packed here from the format rather than
+    by the library: big-endian int32 magic 0x0800 + ndim, one int32 size
+    per dimension, then the bytes; gzip-compressed when ``path`` ends in .gz."""
+    arr = np.asarray(arr, dtype=np.uint8)
+    data = struct.pack(f">{1 + arr.ndim}i", 0x800 + arr.ndim, *arr.shape) + arr.tobytes()
+    path.write_bytes(gzip.compress(data) if path.suffix == ".gz" else data)
+
+
 @pytest.fixture(scope="session")
 def synth_idx_files(tmp_path_factory):
     """Small IDX fixture pair on disk (plain train, gzip test)."""
-    from revde import mlp
-
     root = tmp_path_factory.mktemp("idx")
     train_images, train_labels = make_synthetic_images(120, seed=1)
     test_images, test_labels = make_synthetic_images(40, seed=2)
@@ -74,8 +83,7 @@ def synth_idx_files(tmp_path_factory):
         "test_images": root / "test-images.idx.gz",
         "test_labels": root / "test-labels.idx.gz",
     }
-    mlp.write_idx_images(paths["train_images"], train_images)
-    mlp.write_idx_labels(paths["train_labels"], train_labels)
-    mlp.write_idx_images(paths["test_images"], test_images)
-    mlp.write_idx_labels(paths["test_labels"], test_labels)
+    for key, arr in (("train_images", train_images), ("train_labels", train_labels),
+                     ("test_images", test_images), ("test_labels", test_labels)):
+        write_idx(paths[key], arr)
     return paths

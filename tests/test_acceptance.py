@@ -159,8 +159,8 @@ def test_accounting_and_monotonicity():
 
 
 @pytest.mark.skip(reason="too slow on the pure-Python DOPRI5 stepper: one seed takes "
-                         "~49 s split over 2 CPUs (~89 s serially under taskset -c 0), "
-                         "so ten seeds take ~490 s against the 300 s bound; "
+                         "~36-44 s split over 2 CPUs (36.2 s and 44.1 s for seeds 0 and 1), "
+                         "so ten seeds take ~400 s against the 300 s bound; "
                          "pending the lane-batched stepper (ROADMAP item 1)")
 def test_repressilator_recovery():
     started = time.perf_counter()
@@ -196,7 +196,7 @@ def test_repressilator_self_fit():
     times = default_observation_times()
     clean = generate_observations(TRUE_PARAMS, times=times, noise_std=0.0,
                                   rng=np.random.default_rng(0))
-    truth = TRUE_PARAMS.as_array()[None, :]
+    truth = TRUE_PARAMS[None, :]
     noiseless = make_fit_objective(clean).evaluate(truth)[0]
     rng = np.random.default_rng(np.random.SeedSequence([0, OBS_SEED_TAG]))
     noisy = generate_observations(TRUE_PARAMS, times=times, noise_std=5.0, rng=rng)

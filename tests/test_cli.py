@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revde import _util, cli, mlp
+from revde import _util, benchmarks, cli, mlp
 from revde.benchmarks import BENCHMARK_NAMES
 from revde.cli import ConfigError, ExperimentConfig, main, parse_config
 from revde.engine import Method, RunConfig, run_repeated
@@ -244,6 +244,24 @@ class TestConfigParsing:
         assert parse_config(write_config(tmp_path, "problem = griewank\n"
                                                    "griewank_standard = true\n")).griewank_standard
 
+    @pytest.mark.parametrize("text, rule", [
+        ("problem = benchmark\nbenchmark = ackley\n",
+         lambda: benchmarks.get_benchmark("ackley", 2)),
+        ("problem = Salomon\ngriewank_standard = true\n",
+         lambda: benchmarks.get_benchmark("Salomon", 2, griewank_standard=True)),
+        ("problem = mlp\ngriewank_standard = true\n",
+         lambda: benchmarks.check_griewank_standard("mlp", True)),
+    ])
+    def test_benchmark_rules_are_the_librarys(self, tmp_path, text, rule):
+        # the CLI states no benchmark rule of its own: past the location,
+        # its message is the library's
+        with pytest.raises(ValueError) as lib:
+            rule()
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path)
+        assert str(exc.value) == f"{path}:2: {lib.value}"
+
     def test_negative_seed_rejected(self, tmp_path):
         path = write_config(tmp_path, "problem = rastrigin\nseed = -1\n")
         with pytest.raises(ConfigError, match=r":2: seed must be >= 0"):
@@ -421,7 +439,12 @@ class TestAnalyze:
         assert run_cli("analyze", "--f-step", 0, "--out", tmp_path / "x.csv") == 1
         assert run_cli("analyze", "--f-max", 0.01, "--f-step", 0.5,
                        "--out", tmp_path / "x.csv") == 1
-        assert "error" in capsys.readouterr().err
+        # f_max / f_step overflows to inf: no finite number of grid steps
+        assert run_cli("analyze", "--f-max", "1e308", "--f-step", "5e-324",
+                       "--out", tmp_path / "x.csv") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3 and all(line.startswith("error: ") for line in err)
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("args", [("--f-step", "nan"), ("--f-step", "inf"),
                                       ("--f-max", "inf"), ("--f-max", "nan")])

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_synthetic_images
+from conftest import make_synthetic_images, write_idx
 from revde import mlp
 from revde.mlp import (
     DEFAULT_WEIGHT_BOUNDS,
@@ -22,8 +22,6 @@ from revde.mlp import (
     load_idx,
     make_error_objective,
     prepare_dataset,
-    write_idx_images,
-    write_idx_labels,
 )
 
 
@@ -159,8 +157,8 @@ class TestIdxFiles:
 
     def test_writers_round_trip_values(self, tmp_path):
         images, labels = make_synthetic_images(6, seed=3)
-        write_idx_images(tmp_path / "i.idx", images)
-        write_idx_labels(tmp_path / "l.idx", labels)
+        write_idx(tmp_path / "i.idx", images)
+        write_idx(tmp_path / "l.idx", labels)
         ds = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
         assert np.array_equal(ds.labels, labels)
         assert np.array_equal((ds.images * 255).round().astype(np.uint8),

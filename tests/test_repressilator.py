@@ -19,7 +19,6 @@ from revde.repressilator import (
     TRUE_PARAMS,
     IntegrationError,
     ObservationSet,
-    RepressilatorParams,
     default_observation_times,
     generate_observations,
     integrate,
@@ -42,30 +41,37 @@ def fit_value(params, obs):
 
 
 class TestParams:
+    """A parameter set is a row (alpha0, n, beta, alpha) of four finite,
+    non-negative numbers, which ``integrate`` checks."""
+
     def test_true_values(self):
-        assert (TRUE_PARAMS.alpha0, TRUE_PARAMS.n, TRUE_PARAMS.beta,
-                TRUE_PARAMS.alpha) == (1.0, 2.0, 5.0, 1000.0)
+        assert TRUE_PARAMS.dtype == np.float64
+        assert TRUE_PARAMS.tolist() == [1.0, 2.0, 5.0, 1000.0]
+        with pytest.raises(ValueError, match="read-only"):
+            TRUE_PARAMS[0] = 2.0
 
     def test_array_round_trip(self):
-        p = RepressilatorParams.from_array([0.5, 2.2, 4.0, 800.0])
-        assert np.array_equal(p.as_array(), [0.5, 2.2, 4.0, 800.0])
+        # a list is the same row as its float64 array, down to the samples' bytes
+        t = np.array([0.0, 1.0, 2.0])
+        row = [0.5, 2.2, 4.0, 800.0]
+        assert integrate(row, times=t).tobytes() == integrate(np.array(row), times=t).tobytes()
 
     def test_rejects_negative_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            RepressilatorParams(-0.1, 2.0, 5.0, 1000.0)
-        with pytest.raises(ValueError):
-            RepressilatorParams(1.0, 2.0, math.nan, 1000.0)
-        with pytest.raises(ValueError):
-            RepressilatorParams(1.0, 2.0, 5.0, math.inf)
+        for i, bad, why in ((0, -0.1, "non-negative"), (2, math.nan, "finite"),
+                            (3, math.inf, "finite")):
+            row = TRUE_PARAMS.tolist()
+            row[i] = bad
+            with pytest.raises(ValueError, match=why):
+                integrate(row)
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            RepressilatorParams.from_array([1.0, 2.0, 5.0])
+        with pytest.raises(ValueError, match="4 numbers"):
+            integrate([1.0, 2.0, 5.0])
 
 
 def rates(state, params=TRUE_PARAMS):
     """The stepper's right-hand side ``_rhs`` at one state."""
-    return repressilator._rhs(params.alpha0, params.n, params.beta, params.alpha, state)
+    return repressilator._rhs(*map(float, params), state)
 
 
 class TestDerivatives:
@@ -94,7 +100,7 @@ class TestDerivatives:
         assert d[0] == -1.0 + 1000.0 + 1.0
 
     def test_huge_protein_suppresses_fully(self):
-        d = rates((1.0, 0.0, 0.0, 0.0, 0.0, 1e30), RepressilatorParams(1.0, 100.0, 5.0, 1000.0))
+        d = rates((1.0, 0.0, 0.0, 0.0, 0.0, 1e30), [1.0, 100.0, 5.0, 1000.0])
         assert d[0] == 0.0   # p**n would overflow; repression saturates
 
     def test_rejects_wrong_state_shape(self):
@@ -106,7 +112,7 @@ class TestIntegrate:
     def test_pure_decay_matches_analytic(self):
         # horizon kept short enough that the solution stays well above the
         # absolute-tolerance floor, where pointwise relative error is meaningful
-        p = RepressilatorParams(0.0, 2.0, 0.0, 0.0)
+        p = [0.0, 2.0, 0.0, 0.0]
         y0 = np.array([2.0, 2.0, 1.0, 1.0, 3.0, 3.0])
         t = np.linspace(0.0, 5.0, 33)
         out = integrate(p, y0, t)
@@ -138,7 +144,7 @@ class TestIntegrate:
         t = default_observation_times()
         base = integrate(TRUE_PARAMS, y0_default(), t)
         rtol, atol, max_steps = repressilator._SOLVE
-        half, status = repressilator._dopri5(*TRUE_PARAMS.as_array(), y0_default(), t,
+        half, status = repressilator._dopri5(*TRUE_PARAMS, y0_default(), t,
                                              rtol / 2, atol / 2, max_steps)
         assert status == 0
         rel = np.abs(base - half) / np.maximum(np.abs(half), 1.0)
@@ -171,11 +177,11 @@ class TestIntegrate:
 
     def test_overflowing_slope_is_step_underflow(self):
         # |f| / scale overflows at the start, so the initial step guess is 0
-        huge = RepressilatorParams(1.0, 2.0, 1e300, 1000.0)
+        huge = [1.0, 2.0, 1e300, 1000.0]
         with pytest.raises(IntegrationError, match="underflow"):
             integrate(huge)
-        assert fit_value(huge.as_array(), ObservationSet(default_observation_times(),
-                                                         np.zeros((40, 3)))) == math.inf
+        assert fit_value(huge, ObservationSet(default_observation_times(),
+                                              np.zeros((40, 3)))) == math.inf
 
 
 class TestObservations:
@@ -235,12 +241,12 @@ def clean_obs():
 
 class TestFitObjective:
     def test_self_fit_is_zero(self, clean_obs):
-        assert fit_value(TRUE_PARAMS.as_array(), clean_obs) < 1e-12
+        assert fit_value(TRUE_PARAMS, clean_obs) < 1e-12
 
     def test_uniform_offset_gives_exact_distance(self, clean_obs):
         shifted = ObservationSet(clean_obs.times,
                                  clean_obs.mrna + np.array([3.0, 4.0, 0.0]))
-        assert fit_value(TRUE_PARAMS.as_array(), shifted) == 5.0
+        assert fit_value(TRUE_PARAMS, shifted) == 5.0
 
     def test_batch_matches_scalar(self, clean_obs):
         cands = np.array([
@@ -554,7 +560,7 @@ class TestReferenceStepper:
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(params=st.one_of(
         box_floats(DEFAULT_PARAM_BOUNDS.lower, DEFAULT_PARAM_BOUNDS.upper),
-        box_floats(TRUE_PARAMS.as_array() * 0.9, TRUE_PARAMS.as_array() * 1.1)))
+        box_floats(TRUE_PARAMS * 0.9, TRUE_PARAMS * 1.1)))
     def test_in_box_samples_bit_identical(self, params):
         self.assert_same_as_reference(*params, DEFAULT_INITIAL_STATE,
                                       default_observation_times(), *repressilator._SOLVE)

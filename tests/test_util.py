@@ -1,5 +1,5 @@
 """The shared helpers of ``revde._util``, the CSV writer and the tables
-built on it, and the kernel timing script.
+built on it, the kernel timing script, and the package's exports.
 
 Float formatting, the run-segment CSV writer against a per-row
 ``fmt_float`` reference, the trace, combined summary, observations and
@@ -7,7 +7,9 @@ params CSVs, atomic writes, and a smoke run of
 ``bench/compare_backends.py`` from a checkout.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import revde
 from revde._util import atomic_write_text, fmt_float, row_numbers, write_csv
 from revde.cli import _write_combined_summary
 from revde.engine import Method, RunSummary, RunTrace, write_trace_csv
@@ -247,3 +250,12 @@ def test_compare_backends_runs_from_checkout(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith("ode solve") for line in proc.stdout.splitlines())
 
+
+def test_every_export_resolves():
+    """Each name in the ``__all__`` of ``revde`` and of its modules is
+    defined there, so a deleted name cannot linger as an export."""
+    names = [info.name for info in pkgutil.iter_modules(revde.__path__)]
+    assert {"benchmarks", "cli", "engine", "mlp", "repressilator", "transforms"} <= set(names)
+    for module in [revde, *(importlib.import_module(f"revde.{name}") for name in names)]:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ lists undefined {missing}"
