@@ -61,6 +61,8 @@ METHOD_ORDER = (Method.DE, Method.DEX3, Method.ADE, Method.REVDE)
 # per-repeat optimizer seeds (seed+r) never collide with it
 OBS_SEED_TAG = 0xB5ED
 
+_MAX_GRID_STEPS = 100_000   # per matrix kind in `revde analyze`, whose rows stay in memory
+
 
 class ConfigError(ValueError):
     """Invalid configuration, with file/line or flag context."""
@@ -560,8 +562,9 @@ def main(argv=None) -> int:
             raise ConfigError("--f-step must be positive and finite")
         if not (math.isfinite(args.f_max) and args.f_max >= args.f_step):
             raise ConfigError("--f-max must be finite and at least one --f-step")
-        if not math.isfinite(args.f_max / args.f_step):
-            raise ConfigError("--f-max / --f-step must be a finite number of grid steps")
+        if not args.f_max / args.f_step <= _MAX_GRID_STEPS:   # an overflow is inf
+            raise ConfigError(f"--f-max / --f-step must be at most {_MAX_GRID_STEPS} "
+                              f"grid steps, got {args.f_max / args.f_step:g}")
         _write_eigen_csv(args.out, args.f_max, args.f_step)
         return 0
     except (ConfigError, OSError) as exc:

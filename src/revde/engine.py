@@ -42,7 +42,6 @@ __all__ = [
     "RunConfig",
     "RunTrace",
     "RunSummary",
-    "initialize_population",
     "run",
     "run_repeated",
     "write_trace_csv",
@@ -87,14 +86,15 @@ class Method(Enum):
 
 @dataclass(frozen=True)
 class BoxBounds:
-    """Per-coordinate search box, lower_d < upper_d everywhere."""
+    """Per-coordinate search box, lower_d < upper_d everywhere; ``lower`` and
+    ``upper`` are read-only float64 copies, so a shared box cannot change."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=np.float64)
-        upper = np.asarray(self.upper, dtype=np.float64)
+        lower = np.array(self.lower, dtype=np.float64)
+        upper = np.array(self.upper, dtype=np.float64)
         if lower.ndim != 1 or lower.shape != upper.shape or lower.size == 0:
             raise ValueError(
                 f"bounds must be equal-length 1-D vectors, got {lower.shape} and {upper.shape}"
@@ -103,6 +103,8 @@ class BoxBounds:
             raise ValueError("bounds must be finite")
         if not np.all(lower < upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
+        lower.setflags(write=False)
+        upper.setflags(write=False)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -211,11 +213,6 @@ class RunSummary:
     std: np.ndarray
 
 
-def initialize_population(bounds: BoxBounds, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform coordinate-wise sample of n candidates inside the box, ``(n, D)``."""
-    return rng.uniform(bounds.lower, bounds.upper, size=(n, bounds.dim))
-
-
 def _sample_slot_indices(n: int, per_slot: int, rng: np.random.Generator) -> np.ndarray:
     """``per_slot`` distinct indices in ``[0, n)`` for each of ``n`` slots.
 
@@ -250,29 +247,29 @@ def _sample_slot_indices(n: int, per_slot: int, rng: np.random.Generator) -> np.
 def _offspring_for_generation(
     population: Population,
     config: RunConfig,
+    operator: np.ndarray,
     bounds: BoxBounds,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Mutation + crossover + bound repair for one generation, batched.
 
+    ``operator`` is the run's 3x3 matrix, used by ADE and RevDE only.
     Offspring are ordered slot-major (slot 0's trio, slot 1's trio, ...)
     so the trace is independent of any evaluation batching downstream.
     """
     method = config.method
     x = population.members
     n, d = x.shape
-    f = config.f
     idx = _sample_slot_indices(n, method.indices_per_slot, rng)
 
-    kind = method.matrix_kind
-    if kind is None:
+    if method.matrix_kind is None:
         # DE and DEx3: every trial of a slot perturbs the slot's base,
         # which is its parent too; (n, 1, d) against (n, 1 or 3, d) pairs
         parents = x[idx[:, :1]]
-        trials = de_mutation(parents, x[idx[:, 1::2]], x[idx[:, 2::2]], f)
+        trials = de_mutation(parents, x[idx[:, 1::2]], x[idx[:, 2::2]], config.f)
     else:
         parents = x[idx]                       # y1<->x_i, y2<->x_j, y3<->x_k
-        trials = apply_triplet_transform(build_matrix(kind, f), parents)
+        trials = apply_triplet_transform(operator, parents)
 
     offspring = binomial_crossover(trials, parents, config.crossover_rate, rng)
     del trials, parents                        # freed before repair_bounds allocates
@@ -294,8 +291,9 @@ def run(
     keeps every population of the run, uncopied: no operator or objective
     of this package writes into a population's arrays.
     """
+    bounds = objective.bounds
     operator = build_matrix(config.method.matrix_kind or MatrixKind.ADE_M, config.f)
-    box = np.abs([objective.bounds.lower, objective.bounds.upper]).max()
+    box = np.abs([bounds.lower, bounds.upper]).max()
     # Python floats: an overflow is an inf here, not a RuntimeWarning
     reach = max(map(sum, np.abs(operator).tolist())) * float(box)
     if not math.isfinite(reach):
@@ -305,35 +303,24 @@ def run(
     counter_before = objective.evaluation_counter
     nan_before = objective.nan_evaluations
 
-    members = initialize_population(objective.bounds, config.population_size, rng)
+    members = rng.uniform(bounds.lower, bounds.upper, size=(config.population_size, bounds.dim))
     population = Population(members, objective.evaluate(members))
-    n = config.population_size
-    total = config.total_evaluations
-    best_stream = np.empty(total, dtype=np.float64)
-    best_stream[:n] = np.minimum.accumulate(population.values)
-    best = best_stream[n - 1]
-    cursor = n
+    values = [population.values]               # every evaluation, in order
     history = [population] if keep_history else None
 
     for _ in range(config.generations):
-        offspring = _offspring_for_generation(population, config, objective.bounds, rng)
-        off_values = objective.evaluate(offspring)
-        k = off_values.size
-        best_stream[cursor : cursor + k] = np.minimum(
-            np.minimum.accumulate(off_values), best
-        )
-        best = best_stream[cursor + k - 1]
-        cursor += k
-        population = select_survivors(population, offspring, off_values)
+        offspring = _offspring_for_generation(population, config, operator, bounds, rng)
+        values.append(objective.evaluate(offspring))
+        population = select_survivors(population, offspring, values[-1])
         if keep_history:
             history.append(population)
 
     evaluations = objective.evaluation_counter - counter_before
-    if evaluations != total:
+    if evaluations != config.total_evaluations:
         raise RuntimeError(f"evaluation accounting broke for {config.method.value}: "
-                           f"{evaluations} != {total}")
+                           f"{evaluations} != {config.total_evaluations}")
     return RunTrace(
-        best_objective=best_stream,
+        best_objective=np.minimum.accumulate(np.concatenate(values)),
         final_population=population,
         evaluations=evaluations,
         nan_evaluations=objective.nan_evaluations - nan_before,

@@ -70,10 +70,12 @@ class IntegrationError(RuntimeError):
     """The adaptive stepper could not reach the end of the horizon."""
 
 
-# (alpha0, n, beta, alpha); read-only, as build_matrix's matrices are
+# (alpha0, n, beta, alpha) and (m1, p1, m2, p2, m3, p3); read-only, as
+# build_matrix's matrices are, since every caller shares them
 TRUE_PARAMS = np.array([1.0, 2.0, 5.0, 1000.0])
 TRUE_PARAMS.setflags(write=False)
 DEFAULT_INITIAL_STATE = np.array([0.0, 2.0, 0.0, 1.0, 0.0, 3.0])
+DEFAULT_INITIAL_STATE.setflags(write=False)
 
 # wide box around both the true value and the basin the optimizer
 # typically lands in; CLI can override
@@ -137,10 +139,6 @@ class ObservationSet:
             raise ValueError("mrna must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "mrna", mrna)
-
-    @property
-    def count(self) -> int:
-        return self.times.size
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +435,6 @@ def integrate(params, initial=None, times=None, max_steps: int = _SOLVE[2]) -> n
 
 def generate_observations(
     true_params,
-    initial=None,
     times=None,
     noise_std: float = 5.0,
     *,
@@ -445,7 +442,7 @@ def generate_observations(
 ) -> ObservationSet:
     """Simulate mRNA at the sample times and add iid Gaussian noise drawn from ``rng``."""
     times = _sample_times(default_observation_times() if times is None else times)
-    trajectory = integrate(true_params, initial=initial, times=times)
+    trajectory = integrate(true_params, times=times)
     mrna = trajectory[:, (0, 2, 4)] + rng.normal(0.0, noise_std, size=(times.size, 3))
     return ObservationSet(times=times, mrna=mrna)
 

@@ -442,8 +442,11 @@ class TestAnalyze:
         # f_max / f_step overflows to inf: no finite number of grid steps
         assert run_cli("analyze", "--f-max", "1e308", "--f-step", "5e-324",
                        "--out", tmp_path / "x.csv") == 1
+        # one step past the cap of 100,000 grid steps per matrix kind
+        assert run_cli("analyze", "--f-max", 100001, "--f-step", 1,
+                       "--out", tmp_path / "x.csv") == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 3 and all(line.startswith("error: ") for line in err)
+        assert len(err) == 4 and all(line.startswith("error: ") for line in err)
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("args", [("--f-step", "nan"), ("--f-step", "inf"),

@@ -17,7 +17,6 @@ from revde.engine import (
     Method,
     Objective,
     RunConfig,
-    initialize_population,
     run,
     run_repeated,
     write_trace_csv,
@@ -41,6 +40,14 @@ class TestBoxBounds:
             BoxBounds(np.array([1.0]), np.array([1.0]))   # not strictly below
         with pytest.raises(ValueError):
             BoxBounds(np.array([np.inf]), np.array([2.0]))
+
+    def test_box_is_a_read_only_copy(self):
+        lower, upper = np.zeros(2), np.ones(2)
+        box = BoxBounds(lower, upper)
+        with pytest.raises(ValueError, match="read-only"):
+            box.lower[0] = -1.0
+        lower[0] = upper[1] = 0.5          # the caller's arrays: writable, not aliased
+        assert box.lower.tolist() == [0.0, 0.0] and box.upper.tolist() == [1.0, 1.0]
 
 
 class TestObjective:
@@ -107,20 +114,26 @@ class TestRunConfig:
         assert de.total_evaluations == triplet.total_evaluations   # budget fairness
 
 
+def initial_members(bounds, n, seed, method=Method.DE):
+    """The members of a run's generation 0."""
+    cfg = RunConfig(method=method, population_size=n, generations=1, f=0.5, seed=seed)
+    return run(cfg, Objective(sphere_batch, bounds), keep_history=True).history[0].members
+
+
 class TestInitialization:
     def test_uniform_within_bounds(self, bounds):
-        members = initialize_population(bounds, 50, np.random.default_rng(0))
+        members = initial_members(bounds, 50, 0)
         assert members.shape == (50, 3)
         assert (members >= -5).all() and (members <= 5).all()
 
     def test_degenerate_interval(self):
         tight = BoxBounds(np.array([0.0]), np.array([1e-12]))
-        members = initialize_population(tight, 4, np.random.default_rng(1))
+        members = initial_members(tight, 4, 1)
         assert (members >= 0).all() and (members <= 1e-12).all()
 
     def test_seed_reproducibility(self, bounds):
-        a = initialize_population(bounds, 10, np.random.default_rng(7))
-        b = initialize_population(bounds, 10, np.random.default_rng(7))
+        a = initial_members(bounds, 10, 7)
+        b = initial_members(bounds, 10, 7, method=Method.REVDE)
         assert np.array_equal(a, b)
 
 
@@ -141,6 +154,28 @@ class TestRun:
         cfg = RunConfig(method=method, population_size=10, generations=10, f=0.5, seed=2)
         trace = run(cfg, obj)
         assert (np.diff(trace.best_objective) <= 0).all()
+
+    @pytest.mark.parametrize("patchy", [False, True], ids=["finite", "nan"])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_trace_is_running_min_of_every_value(self, method, patchy, bounds):
+        returned = []
+
+        def recording(x):
+            v = sphere_batch(x)
+            if patchy:
+                v[v > 30.0] = np.nan
+            returned.extend(v.tolist())
+            return v
+
+        cfg = RunConfig(method=method, population_size=8, generations=5, f=0.5, seed=3)
+        trace = run(cfg, Objective(recording, bounds))
+        best, expected = np.inf, []
+        for v in returned:
+            v = np.inf if np.isnan(v) else v
+            best = v if v < best else best
+            expected.append(best)
+        assert (trace.nan_evaluations > 0) == patchy
+        assert trace.best_objective.tobytes() == np.array(expected).tobytes()
 
     def test_sphere_improves(self, bounds):
         obj = Objective(sphere_batch, bounds)
@@ -205,8 +240,8 @@ class TestRun:
         assert trace.history[-1] is trace.final_population
         # generation 0 is the run's draw and its values, unchanged by the run
         first = trace.history[0]
-        assert np.array_equal(first.members, initialize_population(
-            bounds, 8, np.random.default_rng(6)))
+        assert np.array_equal(first.members, np.random.default_rng(6).uniform(
+            bounds.lower, bounds.upper, size=(8, 3)))
         assert np.array_equal(first.values, sphere_batch(first.members))
         assert trace.best_objective[7] == first.values.min()
 

@@ -217,7 +217,7 @@ class TestObservations:
             ObservationSet(t, np.zeros((3, 2)))
         with pytest.raises(ValueError, match="at or after 0"):   # fits integrate from t = 0
             ObservationSet(t - 1.0, good)
-        assert ObservationSet(t, good).count == 3
+        assert ObservationSet(t, good).times.size == 3
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, bad):

@@ -3,8 +3,9 @@ built on it, the kernel timing script, and the package's exports.
 
 Float formatting, the run-segment CSV writer against a per-row
 ``fmt_float`` reference, the trace, combined summary, observations and
-params CSVs, atomic writes, and a smoke run of
-``bench/compare_backends.py`` from a checkout.
+params CSVs, atomic writes, a smoke run of
+``bench/compare_backends.py`` from a checkout, and the package's
+module-level names: its exports and its shared, read-only arrays.
 """
 
 import importlib
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 import revde
 from revde._util import atomic_write_text, fmt_float, row_numbers, write_csv
 from revde.cli import _write_combined_summary
-from revde.engine import Method, RunSummary, RunTrace, write_trace_csv
+from revde.engine import BoxBounds, Method, RunSummary, RunTrace, write_trace_csv
 from revde.transforms import Population
 from revde.repressilator import (
     ObservationSet,
@@ -259,3 +260,24 @@ def test_every_export_resolves():
     for module in [revde, *(importlib.import_module(f"revde.{name}") for name in names)]:
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ lists undefined {missing}"
+
+
+def test_shared_arrays_are_read_only():
+    """Every module-level array of ``revde``, and the box of every
+    module-level ``BoxBounds``, refuses writes: one caller cannot change
+    what the next reads, such as the initial state of every solve."""
+    modules = [importlib.import_module(f"revde.{info.name}")
+               for info in pkgutil.iter_modules(revde.__path__)]
+    shared = {}
+    for module in modules:
+        for name, value in vars(module).items():
+            if isinstance(value, np.ndarray):
+                shared[f"{module.__name__}.{name}"] = value
+            elif isinstance(value, BoxBounds):
+                shared[f"{module.__name__}.{name}.lower"] = value.lower
+                shared[f"{module.__name__}.{name}.upper"] = value.upper
+    assert {"revde.repressilator.TRUE_PARAMS", "revde.repressilator.DEFAULT_INITIAL_STATE",
+            "revde.repressilator.DEFAULT_PARAM_BOUNDS.lower",
+            "revde.mlp.DEFAULT_WEIGHT_BOUNDS.upper"} <= set(shared)
+    writable = [name for name, array in shared.items() if array.flags.writeable]
+    assert not writable, f"shared arrays that take writes: {writable}"
