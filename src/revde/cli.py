@@ -18,7 +18,7 @@ fails mid-way; every CSV is written atomically.
 The methods share no state, so ``_util.fork_map`` (rules there) deals
 them over ``method_processes`` = ``_util.split_processes(methods)``
 processes, a planned count; MLP runs keep their methods serial, because
-their matrix products already use the CPUs through BLAS threads.  A
+the MLP objective already splits each batch over the CPUs.  A
 share runs its methods, writes their traces and returns, not raises, a
 failure; the caller writes the summary, the params CSVs and the
 manifest in method order and then raises the first failure, so every
@@ -369,8 +369,8 @@ def _config_dict(config: ExperimentConfig) -> dict:
 
 
 def _method_processes(config: ExperimentConfig) -> int:
-    """Processes ``revde run`` splits its methods over; the MLP's matrix
-    products already run on BLAS threads, so its methods run serially."""
+    """Processes ``revde run`` splits its methods over; the MLP objective
+    already splits each batch over the CPUs, so its methods run serially."""
     return 1 if config.problem == "mlp" else split_processes(len(config.methods))
 
 

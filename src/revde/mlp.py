@@ -6,7 +6,10 @@ is the only decomposition giving the documented 4120-weight count
 input->hidden block first (row-major, 3920 entries) followed by the
 hidden->output block (200 entries).  The predicted class is the argmax
 of the output logits; :func:`classification_error_batch` scores a
-``(K, 4120)`` batch, and one candidate is a one-row batch.
+``(K, 4120)`` batch, and one candidate is a one-row batch.  It deals the
+batch's chunks over one thread per usable CPU, each holding numpy's BLAS
+to one thread (``_util.thread_shares``), so the errors are the same
+bytes however many CPUs score them.
 
 Includes one IDX reader (the MNIST distribution format, gzip detected
 by magic bytes) that serves both images (3-D) and labels (1-D): the
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import split_threads, thread_shares
 from .engine import BoxBounds, Objective
 
 __all__ = [
@@ -86,8 +90,8 @@ class ImageDataset:
             raise ValueError(
                 f"labels must have shape ({images.shape[0]},), got {labels.shape}"
             )
-        if images.min() < 0.0 or images.max() > 1.0:
-            raise ValueError("pixel values must lie in [0, 1]")
+        if not (images.min() >= 0.0 and images.max() <= 1.0):   # False for NaN too
+            raise ValueError("pixel values must be finite and lie in [0, 1]")
         if labels.min() < 0 or labels.max() > 9:
             raise ValueError("labels must lie in 0..9")
         object.__setattr__(self, "images", images)
@@ -173,24 +177,31 @@ def downsample(images: np.ndarray) -> np.ndarray:
     return arr.reshape(-1, 14, 2, 14, 2).mean(axis=(2, 4)).reshape(-1, 196)
 
 
-# Hidden activations per chunk of candidates, in float64 values (2.56 MB):
-# 8 candidates at 2000 images.  Stacking candidates lets one BLAS product
-# read the images once for the chunk instead of once per candidate; the
-# cap keeps peak memory flat however many candidates a batch holds.
+# Hidden activations in flight, in float64 values (2.56 MB): 8 candidates
+# at 2000 images.  Stacking candidates lets one BLAS product read the
+# images once for the chunk instead of once per candidate; the cap keeps
+# peak memory flat however many candidates a batch holds.  A batch split
+# over w threads gives each a chunk of 1/w of that.
 _CHUNK_HIDDEN_VALUES = 320_000
 
 
-def _chunk_errors(weights_batch, dataset: ImageDataset) -> np.ndarray:
-    c, n, h_dim = weights_batch.shape[0], dataset.count, SHAPE.hidden_dim
+def _chunk_errors(weights, dataset: ImageDataset, out, buffers) -> None:
+    """Score a (c, 4120) chunk into ``out``, in the first c rows of a
+    share's buffers: input weights, hidden, logits, classes, misses."""
+    c, n, h_dim = weights.shape[0], dataset.count, SHAPE.hidden_dim
     split = SHAPE.hidden_weights
+    w1, h, logits, pred, wrong = (b[:c] for b in buffers)
+    np.copyto(w1, weights[:, :split].reshape(c, h_dim, SHAPE.input_dim))
     # (c*H, P) @ (P, n): images.T goes to BLAS as a transposed view
-    h = weights_batch[:, :split].reshape(c * h_dim, SHAPE.input_dim) @ dataset.images.T
+    np.matmul(w1.reshape(c * h_dim, SHAPE.input_dim), dataset.images.T,
+              out=h.reshape(c * h_dim, n))
     np.maximum(h, 0.0, out=h)
     # (c, n, H) @ (c, H, O): class-last logits, which argmax reads in place
-    w2t = weights_batch[:, split:].reshape(c, SHAPE.output_dim, h_dim).transpose(0, 2, 1)
-    logits = h.reshape(c, h_dim, n).transpose(0, 2, 1) @ w2t
-    pred = logits.argmax(axis=2)               # ties keep the lowest class
-    return np.count_nonzero(pred != dataset.labels, axis=1) / n
+    w2t = weights[:, split:].reshape(c, SHAPE.output_dim, h_dim).transpose(0, 2, 1)
+    np.matmul(h.transpose(0, 2, 1), w2t, out=logits)
+    np.argmax(logits, axis=2, out=pred)        # ties keep the lowest class
+    np.not_equal(pred, dataset.labels, out=wrong)
+    np.divide(np.count_nonzero(wrong, axis=1), n, out=out)
 
 
 def classification_error_batch(weights_batch, dataset: ImageDataset) -> np.ndarray:
@@ -199,7 +210,9 @@ def classification_error_batch(weights_batch, dataset: ImageDataset) -> np.ndarr
     A row's predicted class is the argmax of its output logits, with ties
     resolved to the lowest class index.  Candidates are scored a chunk
     at a time, sized by ``_CHUNK_HIDDEN_VALUES``, which bounds the memory
-    a call takes.
+    a call takes.  The chunks are dealt over ``_util.split_threads``
+    threads (rules in :mod:`revde._util`), each with its own buffers;
+    every candidate's error is the same for any split.
     """
     wb = np.ascontiguousarray(weights_batch, dtype=np.float64)
     if wb.ndim != 2 or wb.shape[1] != SHAPE.total_weights:
@@ -210,11 +223,23 @@ def classification_error_batch(weights_batch, dataset: ImageDataset) -> np.ndarr
         raise ValueError(
             f"dataset rows have {dataset.pixels} pixels, the network expects {SHAPE.input_dim}"
         )
-    k = wb.shape[0]
-    chunk = max(1, _CHUNK_HIDDEN_VALUES // (SHAPE.hidden_dim * dataset.count))
+    k, n, h_dim = wb.shape[0], dataset.count, SHAPE.hidden_dim
+    chunk = max(1, _CHUNK_HIDDEN_VALUES // (h_dim * n))
+    # no more threads than a chunk has candidates, so each thread's chunk
+    # holds at least one and the w chunks in flight stay within the budget
+    w = split_threads(min(k, chunk))
+    chunk //= w
+    rows = min(k, chunk)
+    buffers = [(np.empty((rows, h_dim, SHAPE.input_dim)), np.empty((rows, h_dim, n)),
+                np.empty((rows, n, SHAPE.output_dim)), np.empty((rows, n), np.intp),
+                np.empty((rows, n), bool)) for _ in range(w)]
     errors = np.empty(k)
-    for i in range(0, k, chunk):
-        errors[i : i + chunk] = _chunk_errors(wb[i : i + chunk], dataset)
+
+    def share(i: int) -> None:
+        for a in range(i * chunk, k, w * chunk):
+            _chunk_errors(wb[a : a + chunk], dataset, errors[a : a + chunk], buffers[i])
+
+    thread_shares(share, w)
     return errors
 
 

@@ -419,13 +419,17 @@ def integrate(params, initial=None, times=None, max_steps: int = _SOLVE[2]) -> n
     """Solve the six rate equations from t=0, sampled at ``times``.
 
     ``params`` is a row (alpha0, n, beta, alpha) that obeys ``_param_row``;
-    ``times`` obey ``_sample_times``.  Raises IntegrationError when the
+    ``initial`` holds six finite, non-negative concentrations (default
+    ``DEFAULT_INITIAL_STATE``); ``times`` obey ``_sample_times``.  Raises
+    ValueError for inputs outside those rules and IntegrationError when the
     adaptive stepper fails; callers fitting parameters map that to +inf.
     """
     a0, hn, bb, aa = _param_row(params)
     y0 = DEFAULT_INITIAL_STATE if initial is None else np.asarray(initial, dtype=np.float64)
     if y0.shape != (6,):
         raise ValueError(f"initial state must have 6 entries, got shape {y0.shape}")
+    if not (np.isfinite(y0).all() and y0.min() >= 0.0):
+        raise ValueError(f"initial state must be finite and non-negative, got {y0.tolist()}")
     t = _sample_times(default_observation_times() if times is None else times)
     out, status = _dopri5(a0, hn, bb, aa, y0, t, *_SOLVE[:2], int(max_steps))
     if status != 0:

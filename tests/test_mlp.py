@@ -2,13 +2,14 @@
 
 import gzip
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_synthetic_images, write_idx
-from revde import mlp
+from revde import _util, mlp
 from revde.mlp import (
     DEFAULT_WEIGHT_BOUNDS,
     SHAPE,
@@ -241,8 +242,9 @@ class TestClassificationError:
         rng = np.random.default_rng(13)
         dataset = ImageDataset(rng.uniform(0, 1, size=(2000, 196)), rng.integers(0, 10, 2000))
         wb = rng.uniform(-1, 1, size=(150, 4120))
-        # one chunk at a time: its hidden activations (the budget, 8 bytes
-        # each), half as many logits, per-image class arrays.  One product
+        # one chunk's worth in flight, however many threads share it: its
+        # hidden activations (the budget, 8 bytes each), half as many
+        # logits, per-image class arrays.  One product
         # over all 150 candidates would hold 48 MB of hidden activations.
         bound = 2 * 8 * mlp._CHUNK_HIDDEN_VALUES
         tracemalloc.start()
@@ -258,6 +260,136 @@ class TestClassificationError:
             classification_error_batch(np.zeros(4120), synth_dataset)
         with pytest.raises(ValueError):
             classification_error_batch(np.zeros((2, 100)), synth_dataset)
+
+
+@pytest.fixture(scope="module")
+def workload_dataset():
+    """2,000 images, the benchmark's size: chunks of 8 candidates."""
+    rng = np.random.default_rng(14)
+    return ImageDataset(rng.uniform(0, 1, size=(2000, 196)), rng.integers(0, 10, 2000))
+
+
+@pytest.fixture
+def blas_calls():
+    """numpy's BLAS thread-count calls, looked up afresh; the count is
+    restored after the test."""
+    _util._openblas_threads.cache_clear()
+    calls = _util._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy's BLAS has no thread-count calls here")
+    before = calls[0]()
+    yield calls
+    _util._openblas_threads.cache_clear()
+    calls[1](before)
+
+
+class TestThreadSplit:
+    """Chunks dealt over one thread per usable CPU, faked from 1 to 5."""
+
+    @staticmethod
+    def wrap_chunks(monkeypatch, before):
+        """Call ``before(thread, weights)`` ahead of scoring each chunk."""
+        chunk_errors = mlp._chunk_errors
+
+        def wrapped(weights, *args):
+            before(threading.current_thread(), weights)
+            return chunk_errors(weights, *args)
+
+        monkeypatch.setattr(mlp, "_chunk_errors", wrapped)
+
+    def plant(self, monkeypatch):
+        """Make every chunk scored off the calling thread raise."""
+        caller = threading.current_thread()
+
+        def fail(thread, weights):
+            if thread is not caller:
+                raise ZeroDivisionError("planted off the caller")
+
+        self.wrap_chunks(monkeypatch, fail)
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 50, 150])
+    def test_bytes_match_serial(self, monkeypatch, workload_dataset, k):
+        rng = np.random.default_rng(15 + k)
+        for wb in (rng.uniform(-1, 1, size=(k, 4120)), rng.uniform(-1e-3, 1e-3, size=(k, 4120))):
+            monkeypatch.setattr(_util, "_usable_cpus", lambda: 1)
+            serial = classification_error_batch(wb, workload_dataset).tobytes()
+            for cpus in range(2, 6):
+                monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+                assert classification_error_batch(wb, workload_dataset).tobytes() == serial
+
+    def test_chunks_run_on_threads_within_the_budget(self, monkeypatch, workload_dataset,
+                                                      blas_calls):
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 2)
+        seen = []
+        self.wrap_chunks(monkeypatch, lambda thread, weights: seen.append((thread, len(weights))))
+        wb = np.random.default_rng(16).uniform(-1, 1, size=(150, 4120))
+        classification_error_batch(wb, workload_dataset)
+        # two shares of 4-candidate chunks: half the serial chunk each
+        assert len({thread for thread, _ in seen}) == 2
+        assert sum(rows for _, rows in seen) == 150
+        assert max(rows for _, rows in seen) == 4
+
+    @pytest.mark.parametrize("cpus", [2, 5])
+    def test_share_exception_raised_in_caller(self, monkeypatch, workload_dataset, blas_calls,
+                                              cpus):
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+        self.plant(monkeypatch)
+        active = threading.active_count()
+        wb = np.random.default_rng(17).uniform(-1, 1, size=(50, 4120))
+        with pytest.raises(ZeroDivisionError, match="planted off the caller"):
+            classification_error_batch(wb, workload_dataset)
+        assert threading.active_count() == active
+
+    def test_blas_thread_count_restored(self, monkeypatch, workload_dataset, blas_calls):
+        get, set_ = blas_calls
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 2)
+        set_(3)
+        wb = np.random.default_rng(18).uniform(-1, 1, size=(50, 4120))
+        inside = []
+        self.wrap_chunks(monkeypatch, lambda thread, weights: inside.append(get()))
+        classification_error_batch(wb, workload_dataset)
+        assert set(inside) == {1}
+        assert get() == 3
+        self.plant(monkeypatch)
+        with pytest.raises(ZeroDivisionError):
+            classification_error_batch(wb, workload_dataset)
+        assert get() == 3
+
+    def test_share_without_a_thread_runs_in_caller(self, monkeypatch, workload_dataset,
+                                                   blas_calls):
+        wb = np.random.default_rng(20).uniform(-1, 1, size=(50, 4120))
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 1)
+        serial = classification_error_batch(wb, workload_dataset)
+        start, started, scored = threading.Thread.start, [], []
+
+        def second_fails(thread):
+            if len(started) == 1:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", second_fails)
+        self.wrap_chunks(monkeypatch, lambda thread, weights: scored.append(len(weights)))
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 4)
+        active = threading.active_count()
+        assert classification_error_batch(wb, workload_dataset).tobytes() == serial.tobytes()
+        assert sum(scored) == 50
+        assert threading.active_count() == active
+
+    def test_missing_blas_calls_start_no_thread(self, monkeypatch, workload_dataset,
+                                                blas_calls):
+        wb = np.random.default_rng(19).uniform(-1, 1, size=(50, 4120))
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 1)
+        serial = classification_error_batch(wb, workload_dataset).tobytes()
+        monkeypatch.setattr(_util, "_OPENBLAS_THREAD_CALLS", ("missing_get", "missing_set"))
+        _util._openblas_threads.cache_clear()
+        starts, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: starts.append(thread) or start(thread))
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 4)
+        assert classification_error_batch(wb, workload_dataset).tobytes() == serial
+        assert starts == []
+        assert _util._openblas_threads() is None
 
 
 class TestPrepareDataset:
@@ -297,6 +429,14 @@ class TestDatasetValidation:
     def test_pixel_range(self):
         with pytest.raises(ValueError):
             ImageDataset(np.full((2, 196), 1.5), np.zeros(2, dtype=int))
+
+    def test_rejects_nonfinite_pixels(self):
+        # a row of NaN pixels was accepted and scored as misclassified
+        for bad in (np.nan, np.inf, -np.inf):
+            images = np.full((3, 196), 0.5)
+            images[1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                ImageDataset(images, np.zeros(3, dtype=int))
 
     def test_label_range(self):
         with pytest.raises(ValueError):

@@ -171,6 +171,15 @@ class TestIntegrate:
             with pytest.raises(ValueError, match="finite"):
                 integrate(TRUE_PARAMS, times=[0.0, 1.0, bad])
 
+    @pytest.mark.parametrize("initial", [
+        [math.nan] * 6, [1.0, 2.0, math.inf, 1.0, 0.0, 3.0], [-1e9, 2.0, 0.0, 1.0, 0.0, 3.0],
+    ], ids=["nan", "inf", "negative"])
+    def test_rejects_nonfinite_or_negative_initial_state(self, initial):
+        # NaN failed as a stiffness IntegrationError that blamed the
+        # parameters, and a negative concentration was solved
+        with pytest.raises(ValueError, match="initial state must be finite and non-negative"):
+            integrate(TRUE_PARAMS, initial)
+
     def test_step_budget_exhaustion_raises(self):
         with pytest.raises(IntegrationError):
             integrate(TRUE_PARAMS, y0_default(), max_steps=3)
