@@ -83,7 +83,7 @@ class ImageDataset:
 
     def __post_init__(self):
         images = np.asarray(self.images, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if images.ndim != 2 or images.shape[0] == 0:
             raise ValueError(f"images must be a non-empty (N, P) array, got {images.shape}")
         if labels.shape != (images.shape[0],):
@@ -92,10 +92,15 @@ class ImageDataset:
             )
         if not (images.min() >= 0.0 and images.max() <= 1.0):   # False for NaN too
             raise ValueError("pixel values must be finite and lie in [0, 1]")
-        if labels.min() < 0 or labels.max() > 9:
-            raise ValueError("labels must lie in 0..9")
+        # checked before the int64 cast, which would truncate 2.7 to 2; False for NaN
+        value = labels.astype(np.float64)
+        bad = ~((value >= 0.0) & (value <= 9.0) & (value == np.floor(value)))
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"labels must be whole numbers in 0..9, got {labels[i].item()!r} "
+                             f"at index {i}")
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", labels.astype(np.int64))
 
     @property
     def count(self) -> int:

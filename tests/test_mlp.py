@@ -446,6 +446,20 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             ImageDataset(np.zeros((2, 196)), np.zeros(3, dtype=int))
 
+    @pytest.mark.parametrize("labels, shown", [
+        ([0.0, 2.7], "2.7 at index 1"), ([0.0, 9.99], "9.99 at index 1"),
+        ([np.nan, 1.0], "nan at index 0"), ([1.0, -np.inf], "-inf at index 1")])
+    def test_rejects_nonwhole_or_nonfinite_labels(self, labels, shown):
+        # the int64 cast truncated 2.7 to 2, and NaN failed only by a cast
+        # warning (an error under the suite's filterwarnings)
+        with pytest.raises(ValueError, match=f"whole numbers in 0..9, got {shown}"):
+            ImageDataset(np.zeros((2, 196)), np.array(labels))
+
+    def test_accepts_whole_float_labels(self):
+        ds = ImageDataset(np.zeros((3, 196)), np.array([0.0, 2.0, 9.0]))
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [0, 2, 9]
+
 
 class TestObjective:
     def test_counts_and_values(self, synth_dataset):

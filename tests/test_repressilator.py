@@ -563,6 +563,7 @@ class TestReferenceStepper:
         if status == 0:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+        return status
 
     # anywhere in the default box, or within 10 % of the truth, where a fit
     # spends most of its solves and each solve takes the most steps
@@ -587,6 +588,28 @@ class TestReferenceStepper:
     def test_guard_edges_bit_identical(self, params, initial):
         self.assert_same_as_reference(*params, np.array(initial),
                                       np.linspace(0.0, 10.0, 21), 1e-6, 1e-8, 20_000)
+
+    # one input per branch of the step loop's conditionals; an instrumented
+    # copy of the stepper confirmed that each reaches the branch it names
+    @pytest.mark.parametrize("params, initial, t_end, max_steps, status", [
+        # accepted steps with err == 0, factor 5: every rate is exactly 0, and
+        # the step grid shows in the samples through the Hermite weights
+        ((0.0, 2.0, 0.0, 0.0), tuple(DEFAULT_INITIAL_STATE), 10.0, 20_000, 0),
+        # accepted steps whose factor is clamped at 5
+        ((1.0, 2.0, 5.0, 1000.0), tuple(DEFAULT_INITIAL_STATE), 10.0, 20_000, 0),
+        # rejected steps whose factor is floored at 0.2: a Hill switch at p = 1
+        ((1.0, 1000.0, 1.0, 1e300), (0.0, 3.0, 0.0, 3.0, 0.0, 3.0), 10.0, 20_000, 0),
+        # the underflow guard at t > 1: p1 grows as e^t until a step overflows
+        ((1.0, 2.0, -1.0, 1000.0), (0.0, 1e300, 0.0, 1.0, 0.0, 3.0), 40.0, 20_000, 1),
+        # the step budget runs out one step short: this solve takes 254 steps
+        ((1.0, 2.0, 5.0, 1000.0), tuple(DEFAULT_INITIAL_STATE), 10.0, 253, 2),
+        # a non-finite trial state shrinks the step, and the solve recovers
+        ((1.0, 1000.0, 0.1, 1.7e308), (0.0, 3.0, 0.0, 3.0, 0.0, 3.0), 10.0, 20_000, 0),
+    ])
+    def test_loop_branches_bit_identical(self, params, initial, t_end, max_steps, status):
+        assert self.assert_same_as_reference(*params, np.array(initial),
+                                             np.linspace(0.0, t_end, 21), 1e-6, 1e-8,
+                                             max_steps) == status
 
 
 class TestScipyOracle:
