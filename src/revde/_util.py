@@ -53,7 +53,10 @@ measurement, 43-55 to 36-58 ms in another.  Measured and rejected:
   - threads that allocate their own buffers: +2.9 MB of peak RSS;
   - a 2-thread ``ThreadPoolExecutor`` on full-size chunks: +11.4 MB, and
     importing ``concurrent.futures`` adds ~11 ms to every start-up.
-A split inside a share of another split sees every usable CPU too.
+A split inside a share sees every usable CPU too: ``revde run``'s
+method processes split MLP batches over threads, which on 2 CPUs beat
+serial methods in 9 of 10 runs (4 methods, N=50, G=5, 2 repeats: 2.86
+to 2.42 s median; 3.02 to 2.67 s at one BLAS thread).
 """
 
 from __future__ import annotations

@@ -17,12 +17,11 @@ fails mid-way; every CSV is written atomically.
 
 The methods share no state, so ``_util.fork_map`` (rules there) deals
 them over ``method_processes`` = ``_util.split_processes(methods)``
-processes, a planned count; MLP runs keep their methods serial, because
-the MLP objective already splits each batch over the CPUs.  A
-share runs its methods, writes their traces and returns, not raises, a
-failure; the caller writes the summary, the params CSVs and the
-manifest in method order and then raises the first failure, so every
-output is the serial run's.
+processes, a planned count, for every problem.  A share runs its
+methods, writes their traces and returns, not raises, a failure; the
+caller writes the summary, the params CSVs and the manifest in method
+order, and at the first failure removes the traces of the later methods
+that ran and raises it, so every output is the serial run's.
 """
 
 from __future__ import annotations
@@ -368,19 +367,14 @@ def _config_dict(config: ExperimentConfig) -> dict:
     return {f.name: _jsonable(getattr(config, f.name)) for f in fields(config)}
 
 
-def _method_processes(config: ExperimentConfig) -> int:
-    """Processes ``revde run`` splits its methods over; the MLP objective
-    already splits each batch over the CPUs, so its methods run serially."""
-    return 1 if config.problem == "mlp" else split_processes(len(config.methods))
-
-
 def _run_method_suite(config: ExperimentConfig, objective: Objective, outdir: Path,
                       manifest: dict, keep_history: bool = False):
     """Shared benchmark/repressilator/mlp loop: traces and summaries.
 
     Every method runs on ``objective`` in the process of its share, which
-    writes its trace.  The caller records the methods in order and raises
-    the first method's failure, as a serial run would.
+    writes its trace.  The caller records the methods in order; at the
+    first failure it removes the traces of later methods that ran and
+    raises it, as a serial run would.
     """
     # the evaluation labels of every trace and of the summary, built once
     numbers = row_numbers(max(_run_config(config, m).total_evaluations for m in config.methods))
@@ -401,8 +395,11 @@ def _run_method_suite(config: ExperimentConfig, objective: Objective, outdir: Pa
     summaries = {}
     results = {}
     shares = fork_map(run_share, list(config.methods), manifest["method_processes"])
-    for method, result in zip(config.methods, shares):
+    for i, (method, result) in enumerate(zip(config.methods, shares)):
         if isinstance(result, Exception):
+            for later, done in zip(config.methods[i + 1:], shares[i + 1:]):
+                if not isinstance(done, Exception):
+                    (outdir / f"trace_{later.value}.csv").unlink()
             raise result
         traces, summary = result
         run_cfg = _run_config(config, method)
@@ -432,7 +429,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         "outputs": [],
         "runs": {},
         "error": None,
-        "method_processes": _method_processes(config),
+        "method_processes": split_processes(len(config.methods)),
     }
     started = time.perf_counter()
     try:

@@ -398,10 +398,9 @@ def _dopri5(a0, hn, bb, aa, y0, times, rtol, atol, max_steps):
             y1, y2, y3, y4, y5, y6 = s1, s2, s3, s4, s5, s6
             a1, a2, a3, a4, a5, a6 = k1, k2, k3, k4, k5, k6
             ay1, ay2, ay3, ay4, ay5, ay6 = z1, z2, z3, z4, z5, z6
-            fac = 5.0 if err == 0.0 else (x if (x := 0.9 * err ** -0.2) > 0.2 else 0.2)
-            h = h * (fac if fac < 5.0 else 5.0)
-        else:
-            h = h * (x if (x := 0.9 * err ** -0.2) > 0.2 else 0.2)
+        # an accepted step never meets the floor, nor a rejected one the cap
+        fac = 5.0 if err == 0.0 else (x if (x := 0.9 * err ** -0.2) > 0.2 else 0.2)
+        h = h * (fac if fac < 5.0 else 5.0)
 
     # guard against last-sample rounding
     rows.extend([(y1, y2, y3, y4, y5, y6)] * (n_out - filled))
@@ -436,7 +435,7 @@ def integrate(params, initial=None, times=None, max_steps: int = _SOLVE[2]) -> n
     t = _sample_times(default_observation_times() if times is None else times)
     out, status = _dopri5(a0, hn, bb, aa, y0, t, *_SOLVE[:2], int(max_steps))
     if status != 0:
-        raise IntegrationError(_STATUS_MESSAGES.get(status, f"status {status}"))
+        raise IntegrationError(_STATUS_MESSAGES[status])
     return out
 
 

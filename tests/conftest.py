@@ -1,9 +1,11 @@
 """Shared fixtures: synthetic image data and an IDX writer, acceptance-line
-reporting, and a guard that no test leaves a child process behind."""
+reporting, and guards that no test leaves a child process or a thread
+behind."""
 
 import gzip
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -32,6 +34,16 @@ def no_child_left():
     except ChildProcessError:
         return
     pytest.fail(f"the test left a child process ({'running' if pid == 0 else pid})")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that leaves alive a thread that was not running before it."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"the test left threads running: {', '.join(left)}")
 
 
 def revde_recursion(x1, x2, x3, f):

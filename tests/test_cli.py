@@ -738,31 +738,38 @@ class TestMethodSplit:
             assert files == serial
             assert manifest == serial_manifest
 
-    def test_mlp_methods_run_serially(self, monkeypatch, tmp_path, synth_idx_files):
-        code, forks, files, manifest = self.run(
-            monkeypatch, tmp_path, 4, "problem = mlp\nn = 8\ngenerations = 1\nrepeats = 1\n"
-            "train_size = 40\n", *(f"--{key.replace('_', '-')}={path}"
-                                    for key, path in synth_idx_files.items()))
-        assert code == 0
-        assert forks == 0
-        assert manifest["method_processes"] == 1
-        assert len(files) == 5
+    def test_mlp_byte_identical(self, monkeypatch, tmp_path, synth_idx_files):
+        # each method process also splits the MLP objective's batches over threads
+        text = "problem = mlp\nn = 8\ngenerations = 2\nrepeats = 2\ntrain_size = 40\n"
+        flags = [f"--{key.replace('_', '-')}={path}" for key, path in synth_idx_files.items()]
+        _, _, serial, serial_manifest = self.run(monkeypatch, tmp_path, 1, text, *flags)
+        assert serial_manifest.pop("method_processes") == 1
+        assert len(serial) == 5
+        assert all("test_error" in run for run in serial_manifest["runs"].values())
+        for cpus in (2, 3, 4, 5):
+            code, forks, files, manifest = self.run(monkeypatch, tmp_path, cpus, text, *flags)
+            assert code == 0
+            assert forks == min(cpus, 4) - 1
+            assert manifest.pop("method_processes") == min(cpus, 4)
+            assert files == serial
+            assert manifest == serial_manifest
 
     @pytest.mark.parametrize("failing", [("dex3",), ("ade", "dex3"), ("revde",), ("de",)])
     def test_failure_is_the_serial_one(self, monkeypatch, tmp_path, capsys, failing):
         # dex3 and revde run in the child of a 2-process split
         self.plant(monkeypatch, failing)
-        code, _, _, serial_manifest = self.run(monkeypatch, tmp_path, 1, self.SUITE)
+        code, _, serial, serial_manifest = self.run(monkeypatch, tmp_path, 1, self.SUITE)
         assert code == 1
         first = next(m for m in ("de", "dex3", "ade", "revde") if m in failing)
         assert serial_manifest["error"] == f"ValueError: planted in {first}"
         assert capsys.readouterr().err == f"error: planted in {first}\n"
         del serial_manifest["method_processes"]
         for cpus in (2, 4):
-            code, _, _, manifest = self.run(monkeypatch, tmp_path, cpus, self.SUITE)
+            code, _, files, manifest = self.run(monkeypatch, tmp_path, cpus, self.SUITE)
             assert code == 1
             assert manifest.pop("method_processes") == cpus
             assert manifest == serial_manifest
+            assert files == serial
             assert capsys.readouterr().err == f"error: planted in {first}\n"
 
     def test_failed_child_share_runs_in_the_caller(self, monkeypatch, tmp_path):
@@ -789,8 +796,7 @@ class TestMethodSplit:
         # the first fork raised; the manifest keeps the planned count
         assert (forks, manifest.pop("method_processes")) == (1, 4)
         assert manifest == serial_manifest
-        if not failing:   # a failed split may also leave later methods' traces
-            assert files == serial
+        assert files == serial
 
 
 class TestFailures:
