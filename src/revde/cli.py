@@ -18,10 +18,10 @@ fails mid-way; every CSV is written atomically.
 The methods share no state, so ``_util.fork_map`` (rules there) deals
 them over ``method_processes`` = ``_util.split_processes(methods)``
 processes, a planned count, for every problem.  A share runs its
-methods, writes their traces and returns, not raises, a failure; the
-caller writes the summary, the params CSVs and the manifest in method
-order, and at the first failure removes the traces of the later methods
-that ran and raises it, so every output is the serial run's.
+methods and returns their results, or returns, not raises, a failure;
+it writes no file.  The caller writes every file, the traces, the
+summary, the params CSVs and the manifest, in method order, and raises
+the first failure, so every output is the serial run's.
 """
 
 from __future__ import annotations
@@ -288,8 +288,12 @@ def _validate(config: ExperimentConfig, sources: dict) -> None:
                                 config.griewank_standard)
     except ValueError as exc:
         raise invalid("griewank_standard", str(exc)) from None
-    if problem == "mlp" and not (config.train_images and config.train_labels):
-        raise invalid("problem", "mlp problem needs --train-images and --train-labels")
+    if problem == "mlp":
+        if not (config.train_images and config.train_labels):
+            raise invalid("problem", "mlp problem needs --train-images and --train-labels")
+        if bool(config.test_images) != bool(config.test_labels):
+            key = "test_images" if config.test_images else "test_labels"
+            raise invalid(key, "a held-out set needs both --test-images and --test-labels")
 
 
 # ----------------------------------------------------------------------
@@ -372,9 +376,9 @@ def _run_method_suite(config: ExperimentConfig, objective: Objective, outdir: Pa
     """Shared benchmark/repressilator/mlp loop: traces and summaries.
 
     Every method runs on ``objective`` in the process of its share, which
-    writes its trace.  The caller records the methods in order; at the
-    first failure it removes the traces of later methods that ran and
-    raises it, as a serial run would.
+    returns its result and touches no file.  The caller writes every
+    trace and records the methods in order, and raises the first failure,
+    as a serial run would.
     """
     # the evaluation labels of every trace and of the summary, built once
     numbers = row_numbers(max(_run_config(config, m).total_evaluations for m in config.methods))
@@ -384,26 +388,23 @@ def _run_method_suite(config: ExperimentConfig, objective: Objective, outdir: Pa
         done = []
         for method in methods:
             try:
-                traces, summary = run_repeated(_run_config(config, method), objective,
-                                               config.repeats, keep_history=keep_history)
-                write_trace_csv(traces[0], outdir / f"trace_{method.value}.csv", numbers)
+                done.append(run_repeated(_run_config(config, method), objective,
+                                         config.repeats, keep_history=keep_history))
             except Exception as exc:
                 return done + [exc] * (len(methods) - len(done))
-            done.append((traces, summary))
         return done
 
     summaries = {}
     results = {}
     shares = fork_map(run_share, list(config.methods), manifest["method_processes"])
-    for i, (method, result) in enumerate(zip(config.methods, shares)):
+    for method, result in zip(config.methods, shares):
         if isinstance(result, Exception):
-            for later, done in zip(config.methods[i + 1:], shares[i + 1:]):
-                if not isinstance(done, Exception):
-                    (outdir / f"trace_{later.value}.csv").unlink()
             raise result
         traces, summary = result
+        trace_path = outdir / f"trace_{method.value}.csv"
+        write_trace_csv(traces[0], trace_path, numbers)
+        manifest["outputs"].append(trace_path.name)
         run_cfg = _run_config(config, method)
-        manifest["outputs"].append(f"trace_{method.value}.csv")
         manifest["runs"][method.value] = {
             "generations": run_cfg.generations,
             "seeds": [config.seed + r for r in range(config.repeats)],
@@ -485,7 +486,7 @@ def run_experiment(config: ExperimentConfig) -> int:
                 raw, train_size=min(config.train_size, raw.count), shuffle_seed=shuffle
             )
             test = None
-            if config.test_images and config.test_labels:
+            if config.test_images:
                 test = mlp_mod.prepare_dataset(
                     mlp_mod.load_idx(config.test_images, config.test_labels)
                 )

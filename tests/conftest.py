@@ -1,6 +1,6 @@
 """Shared fixtures: synthetic image data and an IDX writer, acceptance-line
-reporting, and guards that no test leaves a child process or a thread
-behind."""
+reporting, and guards that no test leaves a child process, a thread or
+a temp file behind."""
 
 import gzip
 import os
@@ -44,6 +44,20 @@ def no_thread_left():
     left = [t.name for t in threading.enumerate() if t not in before]
     if left:
         pytest.fail(f"the test left threads running: {', '.join(left)}")
+
+
+@pytest.fixture(autouse=True)
+def no_temp_left(request):
+    """Fail a test that leaves an ``atomic_write_text`` temp file
+    (``.tmp-*~``) anywhere under its ``tmp_path``."""
+    if "tmp_path" not in request.fixturenames:
+        yield
+        return
+    root = request.getfixturevalue("tmp_path")
+    yield
+    left = sorted(str(p.relative_to(root)) for p in root.rglob(".tmp-*~"))
+    if left:
+        pytest.fail(f"the test left temp files: {', '.join(left)}")
 
 
 def revde_recursion(x1, x2, x3, f):

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 from dataclasses import fields
 
 import numpy as np
@@ -167,6 +168,18 @@ class TestConfigParsing:
     def test_mlp_requires_data_paths(self, tmp_path):
         with pytest.raises(ConfigError, match="train-images"):
             parse_config(write_config(tmp_path, "problem = mlp\n"))
+
+    @pytest.mark.parametrize("given", ["test_images", "test_labels"])
+    def test_half_held_out_pair_rejected(self, tmp_path, capsys, given):
+        text = f"problem = mlp\ntrain_images = ti\ntrain_labels = tl\n{given} = x\n"
+        with pytest.raises(ConfigError, match=r"exp\.cfg:4: a held-out set needs both "
+                                              r"--test-images and --test-labels"):
+            parse_config(write_config(tmp_path, text))
+        flag = "--" + given.replace("_", "-")
+        path = write_config(tmp_path, "problem = mlp\ntrain_images = ti\ntrain_labels = tl\n",
+                            name="flag.cfg")
+        assert run_cli("run", path, flag, "x") == 1
+        assert f"flag {flag}: a held-out set needs both" in capsys.readouterr().err
 
     def test_pair_parsing(self, tmp_path):
         path = write_config(
@@ -776,6 +789,23 @@ class TestMethodSplit:
         _, _, serial, serial_manifest = self.run(monkeypatch, tmp_path, 1, self.SUITE)
         del serial_manifest["method_processes"]
         self.plant(monkeypatch, ("dex3",), exc=KeyboardInterrupt, only_in_children=True)
+        code, forks, files, manifest = self.run(monkeypatch, tmp_path, 2, self.SUITE)
+        assert (code, forks, manifest.pop("method_processes")) == (0, 1, 2)
+        assert files == serial
+        assert manifest == serial_manifest
+
+    def test_killed_child_writes_nothing(self, monkeypatch, tmp_path):
+        # a child that wrote a file would die at its rename and leave the temp file
+        _, _, serial, serial_manifest = self.run(monkeypatch, tmp_path, 1, self.SUITE)
+        del serial_manifest["method_processes"]
+        replace, parent = os.replace, os.getpid()
+
+        def replace_or_die(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return replace(*args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", replace_or_die)
         code, forks, files, manifest = self.run(monkeypatch, tmp_path, 2, self.SUITE)
         assert (code, forks, manifest.pop("method_processes")) == (0, 1, 2)
         assert files == serial
