@@ -3,10 +3,11 @@ and the process split.
 
 ``write_csv`` is the package's one CSV writer.  Best-so-far traces are
 piecewise constant (a 7,600-row trace holds about 20 distinct values),
-so it cuts a table into segments wherever any column starts a run of
-equal values, formats each segment's ``cells\n`` once, and joins it
-after each of the segment's row labels.  The chunks stream into the temp
-file of ``atomic_write_text``; no whole-file string is built.
+so it cuts a table into segments of equal rows (at row 0, where any
+column's bits change and at each shorter column's end), formats each
+column's cell at each segment start once, and joins the segment's
+``cells\n`` after each of its row labels.  The chunks stream into the
+temp file of ``atomic_write_text``; no whole-file string is built.
 
 Independent work runs side by side on one of two carriers, one share
 per usable CPU, with share i = items[i::w]:
@@ -18,14 +19,16 @@ per usable CPU, with share i = items[i::w]:
 ``fork_map``'s rules:
   - the caller runs share 0 and forks one child per other share, each
     running the same ``work``;
-  - a child writes its results, a pickled list, to a pipe and leaves
+  - a child pickles its results, a list, into an unnamed temp file the
+    caller opened before the fork (a pipe's buffer would keep a child
+    with a large result alive until the caller's share ends), and leaves
     with os._exit (0 on success, 1 on any exception); it never returns
     into the caller;
-  - the caller reads and reaps every child before the call returns or
-    raises, so no process outlives the call;
-  - the share of a child that failed, sent short data or could not be
-    forked is run in the caller, which gives the serial result or
-    raises the serial exception;
+  - the caller reaps every child, then loads its file, before the call
+    returns or raises, so no process outlives the call;
+  - the share of a child that failed, sent short data, had no file or
+    could not be forked is run in the caller, which gives the serial
+    result or raises the serial exception;
   - ``split_processes`` gives w = min(usable CPUs, items), so with one
     usable CPU (``taskset -c 0``), one item, or no os.fork the work runs
     serially in the caller.
@@ -67,7 +70,7 @@ import os
 import pickle
 import tempfile
 import threading
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from itertools import chain, islice
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -96,27 +99,25 @@ def write_csv(path: str | os.PathLike, header: str, labels: Optional[Sequence[st
     """
     columns = [np.ascontiguousarray(c, dtype=np.float64).ravel() for c in columns]
     rows = max(c.size for c in columns)
-    # new[c, r]: column c starts a run at row r; a shorter column starts
-    # its "" run at its end, and row ``rows`` closes the last segment
-    new = np.zeros((len(columns), rows + 1), dtype=bool)
-    new[:, 0] = True
-    texts = []
-    for c, column in enumerate(columns):
+    # a segment starts at row 0, where any column's bits change and where
+    # a shorter column ends; row ``rows`` closes the last segment
+    cut = np.zeros(rows + 1, dtype=bool)
+    cut[0] = True
+    for column in columns:
         bits = column.view(np.int64)
-        np.not_equal(bits[1:], bits[:-1], out=new[c, 1:column.size])
-        new[c, column.size] = True
-        texts.append([*map(fmt_float, column[new[c, :column.size]].tolist()), ""])
-    # the label's comma and the row's end, once per run
+        cut[1:column.size] |= bits[1:] != bits[:-1]
+        cut[column.size] = True
+    bounds = np.flatnonzero(cut)
+    starts = bounds[:-1]
+    texts = []
+    for column in columns:
+        inside = starts[:np.searchsorted(starts, column.size)]
+        texts.append([*map(fmt_float, column[inside].tolist()),
+                      *[""] * (starts.size - inside.size)])
+    lead = "" if labels is None else ","   # the label's comma
     if labels is None:
         labels = [""] * rows
-    else:
-        texts[0] = ["," + t for t in texts[0]]
-    texts[-1] = [t + "\n" for t in texts[-1]]
-    bounds = np.flatnonzero(new.any(axis=0))
-    # run of each column at each segment start, as an index into its texts
-    runs = (np.cumsum(new, axis=1)[:, bounds[:-1]] - 1).tolist()
-    cells = [map(t.__getitem__, r) for t, r in zip(texts, runs)]
-    suffixes = map(",".join, zip(*cells))
+    suffixes = (lead + ",".join(cells) + "\n" for cells in zip(*texts))
     bounds = bounds.tolist()
     chunks = (suffix.join(labels[a:b]) + suffix
               for a, b, suffix in zip(bounds, bounds[1:], suffixes))
@@ -138,11 +139,11 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
     except OSError as exc:   # name the file asked for, not the temp file
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        chunks = iter([text] if isinstance(text, str) else text)
         with os.fdopen(fd, "w") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            chunks = iter([text] if isinstance(text, str) else text)
             for first in chunks:   # one write per 512 chunks: a write costs more than a join
                 fh.write("".join(chain((first,), islice(chunks, 511))))
         os.replace(tmp, path)
@@ -254,37 +255,33 @@ def fork_map(work: Callable[[list], list], items: list, w: int) -> list:
         return work(items)
     out = list(items)
     children, done = [], {0}
-    try:
-        for i in range(1, w):
-            r, wr = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:   # no process to spare: the share runs here
-                os.close(r)
-                os.close(wr)
-                break
-            if pid == 0:   # child: never returns into the caller
-                status = 1
+    with ExitStack() as files:
+        try:
+            for i in range(1, w):
                 try:
-                    os.close(r)
-                    with open(wr, "wb") as fh:
+                    fh = files.enter_context(tempfile.TemporaryFile())
+                    pid = os.fork()
+                except OSError:   # no file or process to spare: the share runs here
+                    break
+                if pid == 0:   # child: never returns into the caller
+                    status = 1
+                    try:
                         pickle.dump(work(items[i::w]), fh, pickle.HIGHEST_PROTOCOL)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(wr)
-            children.append((i, pid, r))
-        out[0::w] = work(items[0::w])
-    finally:
-        for i, pid, r in children:
-            with open(r, "rb") as fh:
-                data = fh.read()
-            if os.waitpid(pid, 0)[1] == 0:
-                try:
-                    out[i::w] = pickle.loads(data)
-                    done.add(i)
-                except Exception:   # short, or not loadable here: the share runs here
-                    pass
+                        fh.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+                children.append((i, pid, fh))
+            out[0::w] = work(items[0::w])
+        finally:
+            for i, pid, fh in children:
+                if os.waitpid(pid, 0)[1] == 0:
+                    try:
+                        fh.seek(0)
+                        out[i::w] = pickle.load(fh)
+                        done.add(i)
+                    except Exception:   # short, or not loadable here: the share runs here
+                        pass
     for i in range(1, w):
         if i not in done:
             out[i::w] = work(items[i::w])

@@ -1,6 +1,6 @@
 """Shared fixtures: synthetic image data and an IDX writer, acceptance-line
-reporting, and guards that no test leaves a child process, a thread or
-a temp file behind."""
+reporting, and guards that no test leaves a child process, a thread, a
+temp file or an open file descriptor behind."""
 
 import gzip
 import os
@@ -58,6 +58,21 @@ def no_temp_left(request):
     left = sorted(str(p.relative_to(root)) for p in root.rglob(".tmp-*~"))
     if left:
         pytest.fail(f"the test left temp files: {', '.join(left)}")
+
+
+@pytest.fixture(autouse=True)
+def no_fd_left():
+    """Fail a test that leaves open a file descriptor that was not open
+    before it; no check where ``/proc/self/fd`` is missing."""
+    fds = "/proc/self/fd"
+    if not os.path.isdir(fds):
+        yield
+        return
+    before = set(os.listdir(fds))
+    yield
+    left = sorted(set(os.listdir(fds)) - before, key=int)
+    if left:
+        pytest.fail(f"the test left file descriptors open: {', '.join(left)}")
 
 
 def revde_recursion(x1, x2, x3, f):

@@ -3,16 +3,20 @@ built on it, the kernel timing script, and the package's exports.
 
 Float formatting, the run-segment CSV writer against a per-row
 ``fmt_float`` reference, the trace, combined summary, observations and
-params CSVs, atomic writes, a smoke run of
+params CSVs, atomic writes, ``fork_map``'s hand-back of child results, a
+smoke run of
 ``bench/compare_backends.py`` from a checkout, and the package's
 module-level names: its exports and its shared, read-only arrays.
 """
 
+import errno
 import importlib
 import os
 import pkgutil
+import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import revde
+from revde import _util
 from revde._util import atomic_write_text, fmt_float, row_numbers, write_csv
 from revde.cli import _write_combined_summary
 from revde.engine import BoxBounds, Method, RunSummary, RunTrace, write_trace_csv
@@ -240,6 +245,84 @@ class TestAtomicWrite:
         with pytest.raises(TypeError):
             atomic_write_text(path, Boom())   # type: ignore[arg-type]
         assert list(tmp_path.iterdir()) == []
+
+
+class KillOnPickle:
+    """Pickling it SIGKILLs the process: a child dies mid-hand-back."""
+
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestForkMap:
+    """``fork_map`` against ``work(items)`` in the calling process.
+
+    Each test fakes the usable CPU count or names the share count, so the
+    split runs on a 1-CPU machine too; the conftest guards check that
+    every child is reaped and every file closed.
+    """
+
+    PAYLOAD = 1 << 20   # bytes per item: every share hands back 1 MB or more
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The ``os.fork`` calls of the test, counted."""
+        calls, fork = [], os.fork
+
+        def counted():
+            calls.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    @staticmethod
+    def big(share):
+        return [(i, bytes([i]) * TestForkMap.PAYLOAD) for i in share]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_large_results_match_serial(self, monkeypatch, forks, cpus):
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+        items = list(range(8))
+        assert _util.fork_map(self.big, items, _util.split_processes(8)) == self.big(items)
+        assert len(forks) == cpus - 1
+
+    def test_no_channel_forks_nothing(self, monkeypatch, forks):
+        def no_file(*args, **kwargs):
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
+        items = list(range(6))
+        assert _util.fork_map(self.big, items, 3) == self.big(items)
+        assert forks == []
+
+    def test_killed_child_share_runs_in_caller(self):
+        parent = os.getpid()
+
+        def work(share):   # a child dies handing back, after 1 MB reached its file
+            dying = os.getpid() != parent
+            return [(i, b"x" * self.PAYLOAD, KillOnPickle() if dying else None) for i in share]
+
+        items = list(range(4))
+        assert _util.fork_map(work, items, 2) == work(items)
+
+    def test_tempdir_left_empty(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        parent = os.getpid()
+
+        def short(share):   # a child that exits 0 but sends one value short
+            return share if os.getpid() == parent else share[:-1]
+
+        def failing(share):
+            if os.getpid() != parent:
+                raise KeyError("child")
+            return share
+
+        items = list(range(5))
+        for work in (self.big, short, failing):
+            for w in (2, 3):
+                assert _util.fork_map(work, items, w) == work(items)
+                assert list(tmp_path.iterdir()) == []
 
 
 def test_compare_backends_runs_from_checkout(tmp_path):
