@@ -27,8 +27,14 @@ per usable CPU, with share i = items[i::w]:
   - the caller reaps every child, then loads its file, before the call
     returns or raises, so no process outlives the call;
   - the share of a child that failed, sent short data, had no file or
-    could not be forked is run in the caller, which gives the serial
-    result or raises the serial exception;
+    could not be forked is run in the caller, so a call that returns
+    gives the serial result;
+  - after every child is reaped, the call raises the exception of the
+    lowest-numbered share whose ``work`` raised in the caller, which need
+    not be the first failing item's (items [0, 1, 2] failing at 1 and 2
+    over 2 shares raise item 2's); a ``work`` that needs the first
+    failure in item order returns failures as values, as ``revde run``'s
+    method shares do;
   - ``split_processes`` gives w = min(usable CPUs, items), so with one
     usable CPU (``taskset -c 0``), one item, or no os.fork the work runs
     serially in the caller.
@@ -92,13 +98,16 @@ def write_csv(path: str | os.PathLike, header: str, labels: Optional[Sequence[st
     """Atomically write ``header`` and one line per table row.
 
     Row r is ``labels[r]`` (``None`` for a table without a label column;
-    extra labels are ignored) and ``fmt_float`` of every float column's
-    value, or ``""`` where a column is shorter than the longest one.
+    fewer labels than rows raise ``ValueError``, extra ones are ignored)
+    and ``fmt_float`` of every float column's value, or ``""`` where a
+    column is shorter than the longest one.
     Runs are cut where the float64 bit patterns differ, which keeps
     ``-0.0`` apart from ``0.0``; NaNs format alike whatever their bits.
     """
     columns = [np.ascontiguousarray(c, dtype=np.float64).ravel() for c in columns]
     rows = max(c.size for c in columns)
+    if labels is not None and len(labels) < rows:
+        raise ValueError(f"{len(labels)} labels for a table of {rows} rows")
     # a segment starts at row 0, where any column's bits change and where
     # a shorter column ends; row ``rows`` closes the last segment
     cut = np.zeros(rows + 1, dtype=bool)

@@ -31,7 +31,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -100,8 +100,6 @@ def _cast_methods(raw: str) -> tuple:
         if method in out:
             raise ValueError(f"method {part.strip()!r} listed twice")
         out.append(method)
-    if not out:
-        raise ValueError("methods must not be empty")
     return tuple(out)
 
 
@@ -353,22 +351,11 @@ def _write_eigen_csv(path, f_max: float, f_step: float) -> None:
     write_csv(path, header, labels, np.array(rows).T)
 
 
-def _jsonable(value):
-    if isinstance(value, Method):
-        return value.value
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _show(value) -> str:
     """A default as it would be written in a config file."""
-    value = _jsonable(value)
-    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
-
-
-def _config_dict(config: ExperimentConfig) -> dict:
-    return {f.name: _jsonable(getattr(config, f.name)) for f in fields(config)}
+    if isinstance(value, tuple):   # the methods or a bounds pair
+        return ",".join(v.value if isinstance(v, Method) else str(v) for v in value)
+    return str(value)
 
 
 def _run_method_suite(config: ExperimentConfig, objective: Objective, outdir: Path,
@@ -426,7 +413,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     manifest = {
         "version": __version__,
         "problem": config.problem,
-        "config": _config_dict(config),
+        "config": asdict(config),
         "outputs": [],
         "runs": {},
         "error": None,
@@ -510,9 +497,9 @@ def run_experiment(config: ExperimentConfig) -> int:
         return 1
     finally:
         manifest["wall_time_seconds"] = time.perf_counter() - started
-        atomic_write_text(
-            outdir / "manifest.json", json.dumps(manifest, indent=2) + "\n"
-        )
+        # Methods, the manifest's one non-JSON type, are written as their names
+        text = json.dumps(manifest, indent=2, default=lambda method: method.value)
+        atomic_write_text(outdir / "manifest.json", text + "\n")
 
 
 # ----------------------------------------------------------------------

@@ -58,12 +58,11 @@ class Method(Enum):
 
     @classmethod
     def from_string(cls, name: str) -> "Method":
-        key = name.strip().lower()
-        for member in cls:
-            if member.value == key:
-                return member
-        valid = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown method {name!r}; expected one of {valid}")
+        try:
+            return cls(name.strip().lower())
+        except ValueError:
+            valid = ", ".join(m.value for m in cls)
+            raise ValueError(f"unknown method {name!r}; expected one of {valid}") from None
 
     @property
     def offspring_per_slot(self) -> int:
@@ -161,8 +160,6 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.method, str):
-            object.__setattr__(self, "method", Method.from_string(self.method))
         if self.population_size < 4:
             raise ValueError(f"population_size must be >= 4, got {self.population_size}")
         if self.method is Method.DEX3 and self.population_size < 7:

@@ -159,9 +159,9 @@ def test_accounting_and_monotonicity():
 
 
 @pytest.mark.skip(reason="too slow on the pure-Python DOPRI5 stepper: one seed takes "
-                         "~24-30 s split over 2 CPUs (24.2-25.0 s and 29.6-29.8 s for seeds "
-                         "0 and 1), so ten seeds take ~270 s, too close to the 300 s bound "
-                         "for a shared host; pending the lane-batched stepper (ROADMAP item 1)")
+                         "30.3-37.3 s split over 2 CPUs (seeds 6-9, each run alone), and "
+                         "the ten-seed body took 349.9 s against the 300 s bound; pending "
+                         "the lane-batched stepper (ROADMAP item 1)")
 def test_repressilator_recovery():
     started = time.perf_counter()
     times = default_observation_times()

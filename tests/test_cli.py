@@ -341,8 +341,11 @@ class TestKeyTable:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--help"])
         assert exc.value.code == 0
-        listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) - {"--help"}
+        shown = capsys.readouterr().out
+        listed = set(re.findall(r"--[a-z0-9-]+", shown)) - {"--help"}
         assert listed == {flag_argv(k, text)[0] for k, (text, _) in KEY_VALUES.items()}
+        shown = " ".join(shown.split())   # tuple defaults as a config file writes them
+        assert "(default de,dex3,ade,revde)" in shown and "(default 0.01,10.0)" in shown
 
         seen = []
         monkeypatch.setattr(cli, "run_experiment", lambda config: seen.append(config) or 0)
@@ -498,6 +501,19 @@ class TestRunBenchmark:
         assert sorted(manifest["outputs"]) == [n for n in names if n != "manifest.json"]
         assert manifest["runs"]["de"]["seeds"] == [1, 2]
         assert manifest["wall_time_seconds"] > 0
+
+        # the resolved config: methods by name, bounds pairs as lists
+        recorded = manifest["config"]
+        config = parse_config(bench_cfg, {"output_dir": str(outdir)})
+        expected = {spec.name: getattr(config, spec.name) for spec in fields(config)}
+        expected["methods"] = ["de", "dex3", "ade", "revde"]
+        box = DEFAULT_PARAM_BOUNDS
+        for name, low, high in zip(("alpha0_bounds", "n_bounds", "beta_bounds", "alpha_bounds"),
+                                   box.lower.tolist(), box.upper.tolist()):
+            expected[name] = [low, high]
+        assert list(recorded) == list(expected)   # field order
+        assert recorded == expected
+        assert recorded["budget_match"] is True and recorded["griewank_standard"] is False
 
     def test_budget_matching(self, tmp_path, bench_cfg):
         outdir = tmp_path / "out"

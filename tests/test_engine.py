@@ -101,9 +101,9 @@ class TestRunConfig:
             RunConfig(method=method, population_size=10, generations=5, f=f)
 
     def test_method_from_string(self):
-        cfg = RunConfig(method="revde", population_size=8, generations=2, f=0.5)
-        assert cfg.method is Method.REVDE
-        with pytest.raises(ValueError, match="unknown method"):
+        assert Method.from_string(" ReVDE ") is Method.REVDE
+        with pytest.raises(ValueError, match="^unknown method 'cmaes'; expected one of "
+                                             "de, dex3, ade, revde$"):
             Method.from_string("cmaes")
 
     def test_total_evaluations(self):

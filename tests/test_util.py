@@ -153,6 +153,17 @@ class TestWriteCsv:
         write_csv(path, "a,b", labels, [[-0.0], np.empty(0)])
         assert path.read_text() == "a,b\n" + ("7," if labels else "") + "-0.0,\n"
 
+    @pytest.mark.parametrize("write, message", [
+        (lambda path: write_csv(path, "h", ["a"], [np.zeros(3)]), "1 labels for a table of 3"),
+        (lambda path: write_csv(path, "h", ["a"], [np.arange(3.0)]), "1 labels for a table of 3"),
+        (lambda path: write_trace_csv(RunTrace(np.arange(5.0), None, 5, 0), path, ["1", "2"]),
+         "2 labels for a table of 5"),
+    ], ids=["equal-rows", "distinct-rows", "trace"])
+    def test_too_few_labels_rejected(self, tmp_path, write, message):
+        with pytest.raises(ValueError, match=f"^{message} rows$"):
+            write(tmp_path / "t.csv")
+        assert list(tmp_path.iterdir()) == []
+
     def test_row_numbers(self):
         assert row_numbers(0) == []
         assert row_numbers(3) == ["1", "2", "3"]
@@ -305,6 +316,21 @@ class TestForkMap:
 
         items = list(range(4))
         assert _util.fork_map(work, items, 2) == work(items)
+
+    @pytest.mark.parametrize("w, raised", [(2, 2), (3, 1)])
+    def test_raises_lowest_failing_share(self, w, raised):
+        """Items 1 and 2 fail: over 2 shares the caller's share [0, 2]
+        raises item 2's error, where a serial call raises item 1's; over
+        3 the failed child's share [1] reruns in the caller and raises."""
+        def work(share):
+            for i in share:
+                if i > 0:
+                    raise KeyError(i)
+            return share
+
+        with pytest.raises(KeyError) as exc:
+            _util.fork_map(work, [0, 1, 2], w)
+        assert exc.value.args == (raised,)
 
     def test_tempdir_left_empty(self, monkeypatch, tmp_path):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
