@@ -41,7 +41,9 @@ per usable CPU, with share i = items[i::w]:
 ``thread_shares``' rules:
   - the caller runs share 0 and starts one thread per other share; each
     share writes its results into buffers the caller allocated, so no
-    thread grows a malloc arena of its own;
+    thread grows a malloc arena of its own, and runs in a copy of the
+    caller's context, so the caller's ``np.errstate`` holds in every
+    share as in a serial call;
   - ``blas_threads(1)`` holds numpy's OpenBLAS to one thread for the
     call, so w shares keep w CPUs busy, and then restores the caller's
     count;
@@ -70,6 +72,7 @@ to 2.42 s median; 3.02 to 2.67 s at one BLAS thread).
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import os
@@ -242,7 +245,8 @@ def thread_shares(work: Callable[[int], None], w: int) -> None:
     with blas_threads(1):
         try:
             for i in range(1, w):
-                thread = threading.Thread(target=run, args=(i,))
+                # a copy of the caller's context: its np.errstate holds here too
+                thread = threading.Thread(target=contextvars.copy_context().run, args=(run, i))
                 thread.start()
                 started.append(thread)
         except RuntimeError:   # no thread to spare: the rest run here

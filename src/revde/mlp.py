@@ -4,12 +4,15 @@ The network is 196-20-10 with ReLU hidden units and NO bias terms; that
 is the only decomposition giving the documented 4120-weight count
 (196*20 + 20*10 = 3920 + 200).  A candidate weight vector lays out the
 input->hidden block first (row-major, 3920 entries) followed by the
-hidden->output block (200 entries).  The predicted class is the argmax
-of the output logits; :func:`classification_error_batch` scores a
-``(K, 4120)`` batch, and one candidate is a one-row batch.  It deals the
-batch's chunks over one thread per usable CPU, each holding numpy's BLAS
-to one thread (``_util.thread_shares``), so the errors are the same
-bytes however many CPUs score them.
+hidden->output block (200 entries).  The predicted class is the largest
+output logit, ties going to the lowest class (``np.argmax``'s rule);
+:func:`classification_error_batch` scores a ``(K, 4120)`` batch, and one
+candidate is a one-row batch.  It computes the logits class-major, so
+the max over classes is a contiguous reduction, and runs ``np.argmax``
+only on images whose top is tied or NaN.  It deals the batch's chunks
+over one thread per usable CPU, each holding numpy's BLAS to one thread
+(``_util.thread_shares``), so the errors are the same bytes however many
+CPUs score them.
 
 Includes one IDX reader (the MNIST distribution format, gzip detected
 by magic bytes) that serves both images (3-D) and labels (1-D): the
@@ -84,7 +87,7 @@ class ImageDataset:
     def __post_init__(self):
         images = np.asarray(self.images, dtype=np.float64)
         labels = np.asarray(self.labels)
-        if images.ndim != 2 or images.shape[0] == 0:
+        if images.ndim != 2 or images.size == 0:
             raise ValueError(f"images must be a non-empty (N, P) array, got {images.shape}")
         if labels.shape != (images.shape[0],):
             raise ValueError(
@@ -190,30 +193,46 @@ def downsample(images: np.ndarray) -> np.ndarray:
 _CHUNK_HIDDEN_VALUES = 320_000
 
 
-def _chunk_errors(weights, dataset: ImageDataset, out, buffers) -> None:
+def _chunk_errors(weights, dataset: ImageDataset, label_at, out, buffers) -> None:
     """Score a (c, 4120) chunk into ``out``, in the first c rows of a
-    share's buffers: input weights, hidden, logits, classes, misses."""
+    share's buffers: input weights, hidden, logits, top logits, label
+    logits, classes at the top, their counts, single tops, hits.
+    ``label_at`` indexes each image's label logit in a candidate's
+    flattened (O, n) logits."""
     c, n, h_dim = weights.shape[0], dataset.count, SHAPE.hidden_dim
     split = SHAPE.hidden_weights
-    w1, h, logits, pred, wrong = (b[:c] for b in buffers)
+    w1, h, logits, top, label, at_top, count, single, hit = (b[:c] for b in buffers)
     np.copyto(w1, weights[:, :split].reshape(c, h_dim, SHAPE.input_dim))
     # (c*H, P) @ (P, n): images.T goes to BLAS as a transposed view
     np.matmul(w1.reshape(c * h_dim, SHAPE.input_dim), dataset.images.T,
               out=h.reshape(c * h_dim, n))
     np.maximum(h, 0.0, out=h)
-    # (c, n, H) @ (c, H, O): class-last logits, which argmax reads in place
-    w2t = weights[:, split:].reshape(c, SHAPE.output_dim, h_dim).transpose(0, 2, 1)
-    np.matmul(h.transpose(0, 2, 1), w2t, out=logits)
-    np.argmax(logits, axis=2, out=pred)        # ties keep the lowest class
-    np.not_equal(pred, dataset.labels, out=wrong)
-    np.divide(np.count_nonzero(wrong, axis=1), n, out=out)
+    # (c, O, H) @ (c, H, n): class-major logits, so the max over classes
+    # runs down contiguous rows of n images
+    np.matmul(weights[:, split:].reshape(c, SHAPE.output_dim, h_dim), h, out=logits)
+    np.max(logits, axis=1, out=top)
+    np.take(logits.reshape(c, -1), label_at, axis=1, out=label)
+    np.equal(logits, top[:, None], out=at_top)
+    np.add.reduce(at_top, axis=1, dtype=np.uint8, out=count)
+    np.equal(count, 1, out=single)
+    np.equal(label, top, out=hit)
+    if not single.all():
+        # a tie, or a NaN (a NaN top, which no class equals): argmax's
+        # pick, the lowest tied class or the first NaN, replaces the hit
+        i, j = np.nonzero(~single)
+        hit[i, j] = np.argmax(logits[i, :, j], axis=1) == dataset.labels[j]
+    np.divide(n - np.count_nonzero(hit, axis=1), n, out=out)
 
 
 def classification_error_batch(weights_batch, dataset: ImageDataset) -> np.ndarray:
     """Fraction of dataset rows misclassified, per row of a (K, 4120) weight batch.
 
     A row's predicted class is the argmax of its output logits, with ties
-    resolved to the lowest class index.  Candidates are scored a chunk
+    resolved to the lowest class index and a NaN logit to the first NaN.
+    An image counts as right when its label's logit equals the maximum
+    over classes and exactly one class reaches that maximum; an image
+    where the count is not one (a tie, or a NaN, whose maximum no class
+    equals) takes ``np.argmax`` of its logits.  Candidates are scored a chunk
     at a time, sized by ``_CHUNK_HIDDEN_VALUES``, which bounds the memory
     a call takes.  The chunks are dealt over ``_util.split_threads``
     threads (rules in :mod:`revde._util`), each with its own buffers;
@@ -236,13 +255,16 @@ def classification_error_batch(weights_batch, dataset: ImageDataset) -> np.ndarr
     chunk //= w
     rows = min(k, chunk)
     buffers = [(np.empty((rows, h_dim, SHAPE.input_dim)), np.empty((rows, h_dim, n)),
-                np.empty((rows, n, SHAPE.output_dim)), np.empty((rows, n), np.intp),
-                np.empty((rows, n), bool)) for _ in range(w)]
+                np.empty((rows, SHAPE.output_dim, n)), np.empty((rows, n)), np.empty((rows, n)),
+                np.empty((rows, SHAPE.output_dim, n), bool), np.empty((rows, n), np.uint8),
+                np.empty((rows, n), bool), np.empty((rows, n), bool)) for _ in range(w)]
+    label_at = dataset.labels * n + np.arange(n)
     errors = np.empty(k)
 
     def share(i: int) -> None:
         for a in range(i * chunk, k, w * chunk):
-            _chunk_errors(wb[a : a + chunk], dataset, errors[a : a + chunk], buffers[i])
+            _chunk_errors(wb[a : a + chunk], dataset, label_at, errors[a : a + chunk],
+                          buffers[i])
 
     thread_shares(share, w)
     return errors

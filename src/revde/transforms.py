@@ -248,9 +248,15 @@ def select_survivors(
         raise ValueError("NaN objective value in selection pool (map to +inf first)")
     chosen = np.sort(np.argsort(pool_values, kind="stable")[:old.size])
 
-    pool_members = np.concatenate([old.members, offspring])
+    # gather the kept parents, then the kept offspring, straight into the
+    # survivors rather than copying the whole pool; "clip" lets take write
+    # into ``out`` unbuffered, and every index is in range
+    kept = int(chosen.searchsorted(old.size))   # parents among the survivors
+    members = np.empty(old.members.shape)
+    old.members.take(chosen[:kept], axis=0, out=members[:kept], mode="clip")
+    offspring.take(chosen[kept:] - old.size, axis=0, out=members[kept:], mode="clip")
     return Population(
-        members=pool_members[chosen],
+        members=members,
         values=pool_values[chosen],
         generation=old.generation + 1,
     )

@@ -1,6 +1,7 @@
 """MLP classifier head: weights layout, IDX files, error kernels."""
 
 import gzip
+import re
 import struct
 import threading
 import tracemalloc
@@ -231,12 +232,16 @@ class TestClassificationError:
         )
 
     def test_all_tied_logits_pick_class_zero(self, synth_dataset):
-        # zero weights, or a zero output layer: every logit is 0.0
-        wb = np.zeros((4, 4120))
-        wb[2:, :3920] = np.random.default_rng(12).uniform(-1, 1, size=(2, 3920))
+        # zero weights, a zero output layer or a dead hidden layer: every
+        # logit is 0.0
+        rng = np.random.default_rng(12)
+        wb = np.zeros((6, 4120))
+        wb[2:4, :3920] = rng.uniform(-1, 1, size=(2, 3920))
+        wb[4:] = rng.uniform(-1, 1, size=(2, 4120))
+        wb[4:, :3920] = -np.abs(wb[4:, :3920])
         expected = np.mean(synth_dataset.labels != 0)
-        assert classification_error_batch(wb, synth_dataset).tolist() == [expected] * 4
-        assert _reference_errors(wb, synth_dataset) == [expected] * 4
+        assert classification_error_batch(wb, synth_dataset).tolist() == [expected] * 6
+        assert _reference_errors(wb, synth_dataset) == [expected] * 6
 
     def test_peak_memory_bounded_by_chunk_budget(self):
         rng = np.random.default_rng(13)
@@ -244,7 +249,8 @@ class TestClassificationError:
         wb = rng.uniform(-1, 1, size=(150, 4120))
         # one chunk's worth in flight, however many threads share it: its
         # hidden activations (the budget, 8 bytes each), half as many
-        # logits, per-image class arrays.  One product
+        # logits, a byte per logit marking the classes at the top, and
+        # per-image top and label logits and flags.  One product
         # over all 150 candidates would hold 48 MB of hidden activations.
         bound = 2 * 8 * mlp._CHUNK_HIDDEN_VALUES
         tracemalloc.start()
@@ -260,6 +266,89 @@ class TestClassificationError:
             classification_error_batch(np.zeros(4120), synth_dataset)
         with pytest.raises(ValueError):
             classification_error_batch(np.zeros((2, 100)), synth_dataset)
+
+
+def _argmax_errors(weights_batch, dataset):
+    """Error per candidate from np.argmax over its class-last (n, O) logits."""
+    errors = np.empty(len(weights_batch))
+    for i, w in enumerate(weights_batch):
+        w1, w2 = w[:3920].reshape(20, 196), w[3920:].reshape(10, 20)
+        hidden = np.maximum(w1 @ dataset.images.T, 0.0)
+        pred = np.argmax(hidden.T @ w2.T, axis=1)
+        errors[i] = np.count_nonzero(pred != dataset.labels) / dataset.count
+    return errors
+
+
+def _tied_pair(rng, a, b):
+    """Weights whose output rows a and b are equal and positive, every
+    other row negative: the pair ties at the top of every image whose
+    hidden layer is live."""
+    w = rng.uniform(-1, 1, 4120)
+    w2 = w[3920:].reshape(10, 20)
+    w2[:] = -np.abs(w2)
+    w2[a] = w2[b] = rng.uniform(0.1, 1, 20)
+    return w
+
+
+# the class pick's cases; a weight row of a non-finite kind holds that
+# value at a few entries of that block
+PICK_KINDS = ("random", "small", "pair", "zero output", "dead hidden",
+              *(f"{value} {block}" for value in ("nan", "inf", "-inf")
+                for block in ("hidden", "output")))
+
+
+def _pick_rows(rng, k, kinds=PICK_KINDS):
+    """k weight rows cycling through ``kinds``."""
+    rows = np.empty((k, 4120))
+    for i in range(k):
+        kind = kinds[i % len(kinds)]
+        w = rows[i]
+        w[:] = rng.uniform(-1, 1, 4120)
+        if kind == "small":
+            w *= 1e-3
+        elif kind == "pair":
+            w[:] = _tied_pair(rng, *rng.choice(10, 2, replace=False))
+        elif kind == "zero output":
+            w[3920:] = 0.0
+        elif kind == "dead hidden":
+            w[:3920] = -np.abs(w[:3920])
+        elif kind != "random":
+            value, block = kind.split()
+            lo, hi = (0, 3920) if block == "hidden" else (3920, 4120)
+            w[rng.integers(lo, hi, 1 + i % 3)] = float(value)
+    return rows
+
+
+class TestClassPick:
+    """The max-and-tie pick gives np.argmax's class, ties to the lowest."""
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 7, 8, 9, 150])
+    def test_matches_argmax_over_class_last_logits(self, monkeypatch, workload_dataset, k):
+        wb = _pick_rows(np.random.default_rng(30 + k), k)
+        # non-finite weights give inf - inf and inf * 0 in the products;
+        # the caller's errstate reaches every share's thread
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = _argmax_errors(wb, workload_dataset).tobytes()
+            for cpus in range(1, 6):
+                monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+                assert classification_error_batch(wb, workload_dataset).tobytes() == expected
+
+    def test_matches_reference_where_finite(self, synth_dataset):
+        # not the tied pair: the reference's per-image matrix-vector
+        # product sums two equal rows in different orders, so they differ
+        # in the last bit at about a third of the images
+        wb = _pick_rows(np.random.default_rng(40), 20,
+                        ("random", "small", "zero output", "dead hidden"))
+        assert classification_error_batch(wb, synth_dataset).tolist() == _reference_errors(
+            wb, synth_dataset)
+
+    @pytest.mark.parametrize("pair", [(2, 7), (4, 5), (0, 9), (8, 1)])
+    def test_tied_pair_picks_the_lower_class(self, workload_dataset, pair):
+        # labels fall below, inside and above every pair
+        wb = _tied_pair(np.random.default_rng(41), *pair)[None]
+        expected = np.mean(workload_dataset.labels != min(pair))
+        assert classification_error_batch(wb, workload_dataset).tolist() == [expected]
+        assert _argmax_errors(wb, workload_dataset).tolist() == [expected]
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +465,17 @@ class TestThreadSplit:
         assert sum(scored) == 50
         assert threading.active_count() == active
 
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    def test_caller_errstate_holds_in_every_share(self, monkeypatch, workload_dataset, cpus):
+        # inf output weights times dead hidden units: inf * 0 in every chunk
+        wb = np.random.default_rng(21).uniform(-1, 1, size=(50, 4120))
+        wb[:, 3920] = np.inf
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            classification_error_batch(wb, workload_dataset)
+        with np.errstate(invalid="ignore"):
+            classification_error_batch(wb, workload_dataset)
+
     def test_missing_blas_calls_start_no_thread(self, monkeypatch, workload_dataset,
                                                 blas_calls):
         wb = np.random.default_rng(19).uniform(-1, 1, size=(50, 4120))
@@ -445,6 +545,13 @@ class TestDatasetValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             ImageDataset(np.zeros((2, 196)), np.zeros(3, dtype=int))
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 196), (0, 0)])
+    def test_rejects_empty_images(self, shape):
+        # (3, 0) failed in numpy's min() with "zero-size array to reduction"
+        with pytest.raises(ValueError, match=re.escape(
+                f"images must be a non-empty (N, P) array, got {shape}")):
+            ImageDataset(np.zeros(shape), np.zeros(shape[0]))
 
     @pytest.mark.parametrize("labels, shown", [
         ([0.0, 2.7], "2.7 at index 1"), ([0.0, 9.99], "9.99 at index 1"),

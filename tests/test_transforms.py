@@ -372,6 +372,32 @@ class TestSelectionProperties:
         if worst_offspring is not None:
             assert all(values[p] > worst_offspring for p in dropped)
 
+    @settings(max_examples=300, deadline=None)
+    @given(selection_pools(), st.integers(1, 5), st.booleans(), st.data())
+    def test_gather_matches_pool_indexing(self, pool, dim, all_worse, data):
+        parent_values, offspring_values = pool
+        size = parent_values.size
+        if all_worse:   # no offspring beats a parent; ties keep the parent
+            offspring_values = np.maximum(offspring_values, parent_values.max())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        old = Population(members=rng.normal(size=(size, dim)), values=parent_values,
+                         generation=5)
+        offspring = rng.normal(size=(offspring_values.size, dim))
+        out = select_survivors(old, offspring, offspring_values)
+
+        values = np.concatenate([parent_values, offspring_values])
+        chosen = sorted(sorted(range(values.size), key=lambda p: (values[p], p >= size))[:size])
+        pool_members = np.concatenate([old.members, offspring])
+        assert out.members.tobytes() == pool_members[chosen].tobytes()
+        assert out.values.tobytes() == values[chosen].tobytes()
+        assert out.generation == 6
+        if all_worse:
+            assert out.members.tobytes() == old.members.tobytes()
+            assert out.values.tobytes() == old.values.tobytes()
+        for source in (old.members, offspring, old.values, offspring_values):
+            assert not np.shares_memory(out.members, source)
+            assert not np.shares_memory(out.values, source)
+
     @settings(max_examples=100, deadline=None)
     @given(selection_pools(), st.data())
     def test_nan_anywhere_rejected(self, pool, data):

@@ -1,15 +1,16 @@
 """The shared helpers of ``revde._util``, the CSV writer and the tables
-built on it, the kernel timing script, and the package's exports.
+built on it, the bench scripts, and the package's exports.
 
 Float formatting, the run-segment CSV writer against a per-row
 ``fmt_float`` reference, the trace, combined summary, observations and
-params CSVs, atomic writes, ``fork_map``'s hand-back of child results, a
-smoke run of
-``bench/compare_backends.py`` from a checkout, and the package's
+params CSVs, atomic writes, ``fork_map``'s hand-back of child results,
+smoke runs of ``bench/compare_backends.py`` and
+``bench/output_digests.py`` from a checkout, and the package's
 module-level names: its exports and its shared, read-only arrays.
 """
 
 import errno
+import hashlib
 import importlib
 import os
 import pkgutil
@@ -359,6 +360,28 @@ def test_compare_backends_runs_from_checkout(tmp_path):
                           cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith("ode solve") for line in proc.stdout.splitlines())
+
+
+def test_output_digests_runs_from_checkout(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "bench" / "output_digests.py"
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    runs = [subprocess.run([sys.executable, str(script), "--tiny"], env=env,
+                           cwd=tmp_path, capture_output=True, text=True) for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    # nothing that differs between identical runs is hashed
+    assert runs[0].stdout == runs[1].stdout
+    digests = dict(line.rsplit(" ", 1) for line in runs[0].stdout.splitlines())
+    status = {name.split("/")[0]: digest for name, digest in digests.items()
+              if name.endswith("/(exit status)")}
+    ok, failed = (hashlib.sha256(code).hexdigest() for code in (b"0", b"1"))
+    assert status == {"rastrigin-suite": ok, "repressilator": ok, "mlp-held-out": ok,
+                      "failing": failed, "analyze": ok, "analyze-f-step-0.1": ok}
+    for name in ("rastrigin-suite/trace_revde.csv", "repressilator/params_de.csv",
+                 "mlp-held-out/summary.csv", "failing/manifest.json", "analyze/eigen.csv"):
+        assert len(digests[name]) == 64
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_export_resolves():
