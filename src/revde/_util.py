@@ -35,9 +35,9 @@ per usable CPU, with share i = items[i::w]:
     over 2 shares raise item 2's); a ``work`` that needs the first
     failure in item order returns failures as values, as ``revde run``'s
     method shares do;
-  - ``split_processes`` gives w = min(usable CPUs, items), so with one
-    usable CPU (``taskset -c 0``), one item, or no os.fork the work runs
-    serially in the caller.
+  - ``fork_map`` sizes its own split: w = ``split_processes(len(items))``
+    = min(usable CPUs, items), so with one usable CPU (``taskset -c 0``),
+    one item, or no os.fork the work runs serially in the caller.
 ``thread_shares``' rules:
   - the caller runs share 0 and starts one thread per other share; each
     share writes its results into buffers the caller allocated, so no
@@ -80,7 +80,7 @@ import pickle
 import tempfile
 import threading
 from contextlib import ExitStack, contextmanager
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -155,9 +155,7 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)
-            chunks = iter([text] if isinstance(text, str) else text)
-            for first in chunks:   # one write per 512 chunks: a write costs more than a join
-                fh.write("".join(chain((first,), islice(chunks, 511))))
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -262,8 +260,10 @@ def thread_shares(work: Callable[[int], None], w: int) -> None:
             raise exc
 
 
-def fork_map(work: Callable[[list], list], items: list, w: int) -> list:
-    """``work(items)`` as a list, share i = ``items[i::w]`` run in process i."""
+def fork_map(work: Callable[[list], list], items: list) -> list:
+    """``work(items)`` as a list, share i = ``items[i::w]`` run in process i,
+    with w = ``split_processes(len(items))``."""
+    w = split_processes(len(items))
     if w < 2:
         return work(items)
     out = list(items)

@@ -15,13 +15,14 @@ manifest.json (resolved config, seeds, wall time, library version) into
 the output directory.  The manifest is written even when the experiment
 fails mid-way; every CSV is written atomically.
 
-The methods share no state, so ``_util.fork_map`` (rules there) deals
-them over ``method_processes`` = ``_util.split_processes(methods)``
-processes, a planned count, for every problem.  A share runs its
-methods and returns their results, or returns, not raises, a failure;
-it writes no file.  The caller writes every file, the traces, the
-summary, the params CSVs and the manifest, in method order, and raises
-the first failure, so every output is the serial run's.
+The methods share no state, so ``_util.fork_map`` (split and rules
+there) deals each method's ``RunConfig`` over forked processes for every
+problem; the manifest records the planned count as ``method_processes``.
+A share runs its methods and returns their results, or returns, not
+raises, a failure; it writes no file.  The caller writes every file,
+the traces, the summary, the params CSVs and the manifest, in method
+order, and raises the first failure, so every output is the serial
+run's.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from . import repressilator as rep_mod
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run_experiment", "main"]
 
 PROBLEMS = ("benchmark", "repressilator", "mlp")
-METHOD_ORDER = (Method.DE, Method.DEX3, Method.ADE, Method.REVDE)
+METHOD_ORDER = tuple(Method)
 
 # mixes the experiment seed into the observation-noise stream so that
 # per-repeat optimizer seeds (seed+r) never collide with it
@@ -178,7 +179,8 @@ class ExperimentConfig:
     test_images: str = _key("", str.strip, "held-out images (IDX, gzip allowed)")
     test_labels: str = _key("", str.strip, "held-out labels (IDX, gzip allowed)")
     train_size: int = _key(2000, _cast_int, "training images used", check=_at_least(1))
-    shuffle_seed: int = _key(-1, _cast_int, "training-set shuffle seed; -1 keeps file order")
+    shuffle_seed: int = _key(-1, _cast_int, "training-set shuffle seed; -1 keeps file order",
+                             check=_at_least(-1))
 
 
 # config key -> field, in field order
@@ -298,22 +300,15 @@ def _validate(config: ExperimentConfig, sources: dict) -> None:
 # experiment execution
 # ----------------------------------------------------------------------
 
-def _method_generations(config: ExperimentConfig, method: Method) -> int:
-    """DE gets 3x the generations when compared against a triplet method."""
-    if (
-        config.budget_match
-        and method is Method.DE
-        and any(m is not Method.DE for m in config.methods)
-    ):
-        return config.generations * 3
-    return config.generations
-
-
 def _run_config(config: ExperimentConfig, method: Method) -> RunConfig:
+    """``method``'s run; DE gets 3x the generations when compared against
+    a triplet method."""
+    matched = (config.budget_match and method is Method.DE
+               and any(m is not Method.DE for m in config.methods))
     return RunConfig(
         method=method,
         population_size=config.population_size,
-        generations=_method_generations(config, method),
+        generations=config.generations * 3 if matched else config.generations,
         f=config.f,
         crossover_rate=config.crossover_rate,
         seed=config.seed,
@@ -335,12 +330,11 @@ def _write_combined_summary(summaries: dict, path, numbers=None) -> None:
 def _write_eigen_csv(path, f_max: float, f_step: float) -> None:
     header = "kind,F,re1,im1,abs1,re2,im2,abs2,re3,im3,abs3,det"
     labels, rows = [], []
-    count = int(round(f_max / f_step))
+    # the slack keeps the point at f_max where the ratio rounds low (0.7 / 0.1)
+    count = int(f_max / f_step * (1 + 1e-12))
     for kind in (MatrixKind.ADE_M, MatrixKind.REVDE_R):
         for i in range(1, count + 1):
             f = i * f_step
-            if f > f_max + 1e-12:
-                break
             m = build_matrix(kind, f)
             row = [f]
             for z in eigen_report(m):
@@ -367,31 +361,31 @@ def _run_method_suite(config: ExperimentConfig, objective: Objective, outdir: Pa
     trace and records the methods in order, and raises the first failure,
     as a serial run would.
     """
+    runs = [_run_config(config, m) for m in config.methods]
     # the evaluation labels of every trace and of the summary, built once
-    numbers = row_numbers(max(_run_config(config, m).total_evaluations for m in config.methods))
+    numbers = row_numbers(max(run_cfg.total_evaluations for run_cfg in runs))
 
-    def run_share(methods: list) -> list:
-        """(traces, summary) per method; a failure ends the share."""
+    def run_share(share: list) -> list:
+        """(traces, summary) per run; a failure ends the share."""
         done = []
-        for method in methods:
+        for run_cfg in share:
             try:
-                done.append(run_repeated(_run_config(config, method), objective,
-                                         config.repeats, keep_history=keep_history))
+                done.append(run_repeated(run_cfg, objective, config.repeats,
+                                         keep_history=keep_history))
             except Exception as exc:
-                return done + [exc] * (len(methods) - len(done))
+                return done + [exc] * (len(share) - len(done))
         return done
 
     summaries = {}
     results = {}
-    shares = fork_map(run_share, list(config.methods), manifest["method_processes"])
-    for method, result in zip(config.methods, shares):
+    for run_cfg, result in zip(runs, fork_map(run_share, runs)):
         if isinstance(result, Exception):
             raise result
+        method = run_cfg.method
         traces, summary = result
         trace_path = outdir / f"trace_{method.value}.csv"
         write_trace_csv(traces[0], trace_path, numbers)
         manifest["outputs"].append(trace_path.name)
-        run_cfg = _run_config(config, method)
         manifest["runs"][method.value] = {
             "generations": run_cfg.generations,
             "seeds": [config.seed + r for r in range(config.repeats)],
@@ -429,7 +423,6 @@ def run_experiment(config: ExperimentConfig) -> int:
             _run_method_suite(config, objective, outdir, manifest)
 
         elif config.problem == "repressilator":
-            times = np.linspace(0.0, config.obs_end, config.obs_count)
             if config.observations:
                 obs = rep_mod.read_observations_csv(config.observations)
             else:
@@ -438,7 +431,7 @@ def run_experiment(config: ExperimentConfig) -> int:
                 )
                 obs = rep_mod.generate_observations(
                     rep_mod.TRUE_PARAMS,
-                    times=times,
+                    times=np.linspace(0.0, config.obs_end, config.obs_count),
                     noise_std=config.noise_std,
                     rng=obs_rng,
                 )
@@ -466,7 +459,7 @@ def run_experiment(config: ExperimentConfig) -> int:
                     float(v) for v in best.members[best.best_index()]
                 ]
 
-        elif config.problem == "mlp":
+        else:   # mlp; _validate leaves no other problem
             raw = mlp_mod.load_idx(config.train_images, config.train_labels)
             shuffle = None if config.shuffle_seed < 0 else config.shuffle_seed
             train = mlp_mod.prepare_dataset(
@@ -488,8 +481,6 @@ def run_experiment(config: ExperimentConfig) -> int:
                     manifest["runs"][method.value]["test_error_mean"] = float(
                         np.mean(errors)
                     )
-        else:  # pragma: no cover - _validate guarantees a known problem
-            raise RuntimeError(f"unhandled problem {config.problem!r}")
         return 0
     except Exception as exc:
         manifest["error"] = f"{type(exc).__name__}: {exc}"

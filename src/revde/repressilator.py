@@ -30,11 +30,11 @@ Numerical guards of the right-hand side:
 The stepper skips the log of the second guard for 0 < p < exp(699/n),
 where it cannot fire (``_hill_cutoff``).
 
-Each solve holds the GIL, so the fit objective deals a batch of K rows
-over ``_util.split_processes(K)`` forked processes with
-``_util.fork_map``, whose docstring gives the rules; every process runs
-the one loss loop of ``make_fit_objective``, so values are bit-identical
-to the serial batch for any process count.
+Each solve holds the GIL, so the fit objective deals a batch of rows
+over forked processes with ``_util.fork_map``, whose docstring gives
+the split and its rules; every process runs the one loss loop of
+``make_fit_objective``, so values are bit-identical to the serial batch
+for any process count.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._util import fork_map, split_processes, write_csv
+from ._util import fork_map, write_csv
 from .engine import BoxBounds, Objective
 
 __all__ = [
@@ -481,8 +481,7 @@ def make_fit_objective(
                 for a0, hn, bb, aa in rows]
 
     def batch(x: np.ndarray) -> np.ndarray:
-        rows = x.tolist()
-        return np.array(fork_map(losses, rows, split_processes(len(rows))), dtype=np.float64)
+        return np.array(fork_map(losses, x.tolist()), dtype=np.float64)
 
     return Objective(batch, bounds)
 

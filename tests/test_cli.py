@@ -280,6 +280,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r":2: seed must be >= 0"):
             parse_config(path)
 
+    def test_shuffle_seed_below_minus_one_rejected_in_file(self, tmp_path):
+        # -1 keeps file order; any other negative seed is a typo, not a shuffle
+        path = write_config(tmp_path, "problem = rastrigin\nshuffle_seed = -2\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path)
+        assert str(exc.value) == f"{path}:2: shuffle_seed must be >= -1, got -2"
+
+    def test_shuffle_seed_below_minus_one_rejected_as_flag(self, tmp_path, capsys):
+        path = write_config(tmp_path, "problem = rastrigin\n")
+        outdir = tmp_path / "out"
+        assert run_cli("run", path, "--shuffle-seed", -7, "--output-dir", outdir) == 1
+        assert capsys.readouterr().err == (
+            "error: flag --shuffle-seed: shuffle_seed must be >= -1, got -7\n")
+        assert not outdir.exists()
+
 
 # one non-default value per config key, valid on top of its row's base
 KEY_VALUES = {
@@ -438,6 +453,15 @@ class TestAnalyze:
         out = tmp_path / "eigen.csv"
         assert run_cli("analyze", *args, "--out", out) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_rows_stop_at_f_max(self, tmp_path):
+        # 1.5 steps: one grid point per kind, none past --f-max
+        out = tmp_path / "eigen.csv"
+        assert run_cli("analyze", "--f-max", "1.5e-14", "--f-step", "1e-14", "--out", out) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["kind"] for r in rows] == ["ADE_M", "REVDE_R"]
+        assert all(float(r["F"]) <= 1.5e-14 for r in rows)
 
     def test_moduli_match_closed_form(self, tmp_path):
         out = tmp_path / "eigen.csv"

@@ -168,14 +168,19 @@ class TestIdxFiles:
 
 
 def _reference_errors(weights_batch, dataset):
-    """Error per candidate from a forward pass per image, strict-> argmax."""
+    """Error per candidate from a forward pass per image, strict-> argmax.
+
+    Each logit is its own dot product of one output row with the hidden
+    layer, so two equal output rows give equal logits.
+    """
     errors = []
     for w in weights_batch:
         # input->hidden block first, row-major, then hidden->output
         w1, w2 = w[:3920].reshape(20, 196), w[3920:].reshape(10, 20)
         wrong = 0
         for x, label in zip(dataset.images, dataset.labels):
-            logits = w2 @ np.maximum(w1 @ x, 0.0)
+            hidden = np.maximum(w1 @ x, 0.0)
+            logits = [np.dot(row, hidden) for row in w2]
             best = 0
             for c in range(1, 10):
                 if logits[c] > logits[best]:   # ties keep the lowest class
@@ -334,11 +339,8 @@ class TestClassPick:
                 assert classification_error_batch(wb, workload_dataset).tobytes() == expected
 
     def test_matches_reference_where_finite(self, synth_dataset):
-        # not the tied pair: the reference's per-image matrix-vector
-        # product sums two equal rows in different orders, so they differ
-        # in the last bit at about a third of the images
         wb = _pick_rows(np.random.default_rng(40), 20,
-                        ("random", "small", "zero output", "dead hidden"))
+                        ("random", "small", "pair", "zero output", "dead hidden"))
         assert classification_error_batch(wb, synth_dataset).tolist() == _reference_errors(
             wb, synth_dataset)
 

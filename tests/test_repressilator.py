@@ -380,7 +380,7 @@ class TestProcessSplit:
             return values if os.getpid() == parent else values[:-1]
 
         self.set_cpus(monkeypatch, 2)
-        assert _util.fork_map(score, list(range(5)), _util.split_processes(5)) == list(range(5))
+        assert _util.fork_map(score, list(range(5))) == list(range(5))
         self.assert_no_children()
 
     def test_fork_failure_scored_in_process(self, monkeypatch, clean_obs, cands):

@@ -269,12 +269,16 @@ class KillOnPickle:
 class TestForkMap:
     """``fork_map`` against ``work(items)`` in the calling process.
 
-    Each test fakes the usable CPU count or names the share count, so the
-    split runs on a 1-CPU machine too; the conftest guards check that
-    every child is reaped and every file closed.
+    Each test fakes the usable CPU count, from which ``fork_map`` sizes
+    its split, so the split runs on a 1-CPU machine too; the conftest
+    guards check that every child is reaped and every file closed.
     """
 
     PAYLOAD = 1 << 20   # bytes per item: every share hands back 1 MB or more
+
+    @staticmethod
+    def set_cpus(monkeypatch, cpus):
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -292,34 +296,40 @@ class TestForkMap:
     def big(share):
         return [(i, bytes([i]) * TestForkMap.PAYLOAD) for i in share]
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-    def test_large_results_match_serial(self, monkeypatch, forks, cpus):
-        monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
-        items = list(range(8))
-        assert _util.fork_map(self.big, items, _util.split_processes(8)) == self.big(items)
-        assert len(forks) == cpus - 1
+    @pytest.mark.parametrize("cpus, count", [
+        *(pytest.param(cpus, 8, id=str(cpus)) for cpus in (1, 2, 3, 4)),
+        pytest.param(4, 2, id="4-2-items"),
+    ])
+    def test_large_results_match_serial(self, monkeypatch, forks, cpus, count):
+        """One fork per share but the caller's, and no more shares than items."""
+        self.set_cpus(monkeypatch, cpus)
+        items = list(range(count))
+        assert _util.fork_map(self.big, items) == self.big(items)
+        assert len(forks) == min(cpus, count) - 1
 
     def test_no_channel_forks_nothing(self, monkeypatch, forks):
         def no_file(*args, **kwargs):
             raise OSError(errno.EMFILE, "Too many open files")
 
         monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
+        self.set_cpus(monkeypatch, 3)
         items = list(range(6))
-        assert _util.fork_map(self.big, items, 3) == self.big(items)
+        assert _util.fork_map(self.big, items) == self.big(items)
         assert forks == []
 
-    def test_killed_child_share_runs_in_caller(self):
+    def test_killed_child_share_runs_in_caller(self, monkeypatch):
         parent = os.getpid()
 
         def work(share):   # a child dies handing back, after 1 MB reached its file
             dying = os.getpid() != parent
             return [(i, b"x" * self.PAYLOAD, KillOnPickle() if dying else None) for i in share]
 
+        self.set_cpus(monkeypatch, 2)
         items = list(range(4))
-        assert _util.fork_map(work, items, 2) == work(items)
+        assert _util.fork_map(work, items) == work(items)
 
-    @pytest.mark.parametrize("w, raised", [(2, 2), (3, 1)])
-    def test_raises_lowest_failing_share(self, w, raised):
+    @pytest.mark.parametrize("cpus, raised", [(2, 2), (3, 1)])
+    def test_raises_lowest_failing_share(self, monkeypatch, cpus, raised):
         """Items 1 and 2 fail: over 2 shares the caller's share [0, 2]
         raises item 2's error, where a serial call raises item 1's; over
         3 the failed child's share [1] reruns in the caller and raises."""
@@ -329,8 +339,9 @@ class TestForkMap:
                     raise KeyError(i)
             return share
 
+        self.set_cpus(monkeypatch, cpus)
         with pytest.raises(KeyError) as exc:
-            _util.fork_map(work, [0, 1, 2], w)
+            _util.fork_map(work, [0, 1, 2])
         assert exc.value.args == (raised,)
 
     def test_tempdir_left_empty(self, monkeypatch, tmp_path):
@@ -347,8 +358,9 @@ class TestForkMap:
 
         items = list(range(5))
         for work in (self.big, short, failing):
-            for w in (2, 3):
-                assert _util.fork_map(work, items, w) == work(items)
+            for cpus in (2, 3):
+                self.set_cpus(monkeypatch, cpus)
+                assert _util.fork_map(work, items) == work(items)
                 assert list(tmp_path.iterdir()) == []
 
 
