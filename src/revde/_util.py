@@ -44,9 +44,8 @@ per usable CPU, with share i = items[i::w]:
     thread grows a malloc arena of its own, and runs in a copy of the
     caller's context, so the caller's ``np.errstate`` holds in every
     share as in a serial call;
-  - ``blas_threads(1)`` holds numpy's OpenBLAS to one thread for the
-    call, so w shares keep w CPUs busy, and then restores the caller's
-    count;
+  - numpy's OpenBLAS is held to one thread for the call, so w shares
+    keep w CPUs busy, and then the caller's count is restored;
   - every thread is joined before the call returns or raises; a share's
     exception is raised in the caller, share 0's first, and the share
     of a thread that could not start runs in the caller;
@@ -79,7 +78,7 @@ import os
 import pickle
 import tempfile
 import threading
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -203,23 +202,6 @@ def _openblas_threads():
     return get, set_
 
 
-@contextmanager
-def blas_threads(n: int):
-    """Hold numpy's BLAS to ``n`` threads in the block, then restore the
-    caller's count; nothing changes where the calls are missing."""
-    calls = _openblas_threads()
-    if calls is None:
-        yield
-        return
-    get, set_ = calls
-    before = get()
-    set_(n)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
 def split_threads(k: int) -> int:
     """Threads a split of ``k`` numpy/BLAS items runs over: min(usable
     CPUs, k), at least 1, or 1 where BLAS's thread count cannot be held."""
@@ -227,7 +209,8 @@ def split_threads(k: int) -> int:
 
 
 def thread_shares(work: Callable[[int], None], w: int) -> None:
-    """``work(i)`` for every share i < w at once, share 0 in the caller."""
+    """``work(i)`` for every share i < w at once, share 0 in the caller;
+    w >= 2 needs numpy's BLAS thread-count calls, which ``split_threads`` checks."""
     if w < 2:
         work(0)
         return
@@ -239,8 +222,11 @@ def thread_shares(work: Callable[[int], None], w: int) -> None:
         except BaseException as exc:   # raised in the caller below
             errors[i] = exc
 
+    get, set_ = _openblas_threads()
+    before = get()
+    set_(1)
     started = []
-    with blas_threads(1):
+    try:
         try:
             for i in range(1, w):
                 # a copy of the caller's context: its np.errstate holds here too
@@ -249,12 +235,12 @@ def thread_shares(work: Callable[[int], None], w: int) -> None:
                 started.append(thread)
         except RuntimeError:   # no thread to spare: the rest run here
             pass
-        try:
-            for i in (0, *range(len(started) + 1, w)):
-                work(i)
-        finally:
-            for thread in started:
-                thread.join()
+        for i in (0, *range(len(started) + 1, w)):
+            work(i)
+    finally:
+        for thread in started:
+            thread.join()
+        set_(before)
     for exc in errors:
         if exc is not None:
             raise exc

@@ -454,13 +454,14 @@ def generate_observations(
 def _mrna_distance(samples: np.ndarray, status: int, target: np.ndarray) -> float:
     """The fit loss: mean Euclidean distance of the sampled mRNA to ``target``.
 
-    A failed solve (non-zero status) or a non-finite sample scores +inf.
+    A failed solve (non-zero status) scores +inf.  A solve of status 0
+    accepted only steps with finite endpoints and slopes, so a sample is
+    non-finite only where its Hermite sum overflows; the loss is then
+    +inf or NaN, which ``Objective.evaluate`` counts and scores +inf.
     """
     if status != 0:
         return math.inf
     sim = samples[:, (0, 2, 4)]
-    if not np.all(np.isfinite(sim)):
-        return math.inf
     return float(np.mean(np.sqrt(np.sum((target - sim) ** 2, axis=1))))
 
 

@@ -158,10 +158,11 @@ def test_accounting_and_monotonicity():
            " ".join(details))
 
 
-@pytest.mark.skip(reason="too slow on the pure-Python DOPRI5 stepper: one seed takes "
-                         "30.3-37.3 s split over 2 CPUs (seeds 6-9, each run alone), and "
-                         "the ten-seed body took 349.9 s against the 300 s bound; pending "
-                         "the lane-batched stepper (ROADMAP item 1)")
+@pytest.mark.skip(reason="too slow on the pure-Python DOPRI5 stepper: on 2 CPUs the "
+                         "ten-seed body took 238.3 s run alone (10/10 seeds recovered) and "
+                         "349.9 s in an earlier measurement, against the 300 s bound, so "
+                         "its margin depends on the host; pending the lane-batched "
+                         "stepper (ROADMAP item 2)")
 def test_repressilator_recovery():
     started = time.perf_counter()
     times = default_observation_times()

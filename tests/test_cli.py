@@ -6,7 +6,9 @@ import json
 import math
 import os
 import re
+import runpy
 import signal
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -155,6 +157,17 @@ class TestConfigParsing:
         ok = write_config(tmp_path, "problem = rastrigin\nn = 6\nmethods = revde\n",
                           name="ok.cfg")
         assert parse_config(ok).population_size == 6
+
+    def test_all_methods(self, tmp_path):
+        path = write_config(tmp_path, "problem = rastrigin\nmethods = revde\n")
+        assert parse_config(path, {"methods": " ALL "}).methods == tuple(Method)
+        path = write_config(tmp_path, "problem = rastrigin\nmethods = all\n", name="all.cfg")
+        assert parse_config(path).methods == tuple(Method)
+
+    def test_line_without_equals_reports_line(self, tmp_path):
+        path = write_config(tmp_path, "problem = rastrigin\n\n# n = 4\nseed 3\n")
+        with pytest.raises(ConfigError, match=r":4: expected 'key = value', got 'seed 3'$"):
+            parse_config(path)
 
     def test_duplicate_method_rejected(self, tmp_path):
         path = write_config(tmp_path, "problem = rastrigin\nmethods = de,de\n")
@@ -851,6 +864,46 @@ class TestMethodSplit:
         assert files == serial
         assert manifest == serial_manifest
 
+    @staticmethod
+    def plant_kernel(monkeypatch, kernel):
+        """Score Rastrigin with ``kernel(values, x)``; ``BenchmarkSpec.batch``
+        looks the table up on every call, so forked shares see it too."""
+        rastrigin, low, high = benchmarks._BENCHMARKS["rastrigin"]
+        monkeypatch.setitem(benchmarks._BENCHMARKS, "rastrigin",
+                            (lambda x: kernel(rastrigin(x), x), low, high))
+
+    def test_wrong_shaped_evaluator_fails_as_serial(self, monkeypatch, tmp_path, capsys):
+        # one value per coordinate instead of one per candidate
+        self.plant_kernel(monkeypatch, lambda values, x: np.repeat(values[:, None], 4, axis=1))
+        code, _, serial, serial_manifest = self.run(monkeypatch, tmp_path, 1, self.SUITE)
+        error = "evaluator returned shape (40,) for a batch of 10 candidates"
+        assert code == 1
+        assert serial_manifest["error"] == f"ValueError: {error}"
+        assert capsys.readouterr().err == f"error: {error}\n"
+        del serial_manifest["method_processes"]
+        for cpus in (2, 4):
+            code, _, files, manifest = self.run(monkeypatch, tmp_path, cpus, self.SUITE)
+            assert code == 1
+            assert manifest.pop("method_processes") == cpus
+            assert manifest == serial_manifest
+            assert files == serial
+            assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_nan_evaluator_counted_as_serial(self, monkeypatch, tmp_path):
+        self.plant_kernel(monkeypatch, lambda values, x: np.where(x[:, 0] > 3.0, np.nan, values))
+        code, _, serial, serial_manifest = self.run(monkeypatch, tmp_path, 1, self.SUITE)
+        assert code == 0
+        counts = {m: run["nan_evaluations"] for m, run in serial_manifest["runs"].items()}
+        assert set(counts) == {"de", "dex3", "ade", "revde"}
+        assert all(count > 0 for count in counts.values())
+        del serial_manifest["method_processes"]
+        for cpus in (2, 4):
+            code, _, files, manifest = self.run(monkeypatch, tmp_path, cpus, self.SUITE)
+            assert code == 0
+            assert manifest.pop("method_processes") == cpus
+            assert manifest == serial_manifest
+            assert files == serial
+
     @pytest.mark.parametrize("failing", [(), ("dex3",)])
     def test_fork_failure_is_serial(self, monkeypatch, tmp_path, capsys, failing):
         self.plant(monkeypatch, failing)
@@ -907,6 +960,19 @@ class TestFailures:
         assert run_cli("run", cfg, "--output-dir", plain / "out" if under else plain) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert plain.read_text() == "x\n"
+
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_module_entry_point(self, monkeypatch, tmp_path, capsys, bad):
+        # ``python -m revde.cli``, as bench/output_digests.py runs it; the
+        # module runs afresh as __main__, so the imported one steps aside
+        out = tmp_path / ("missing" if bad else "") / "eigen.csv"
+        monkeypatch.setattr(sys, "argv", ["revde.cli", "analyze", "--out", str(out)])
+        monkeypatch.delitem(sys.modules, "revde.cli")
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("revde.cli", run_name="__main__")
+        assert exc.value.code == (1 if bad else 0)
+        assert capsys.readouterr().err.startswith("error: ") == bad
+        assert out.exists() != bad
 
     def test_argparse_exit_two(self):
         with pytest.raises(SystemExit) as exc:

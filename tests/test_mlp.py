@@ -137,6 +137,21 @@ class TestIdxFiles:
         with pytest.raises(IdxTruncatedError):
             load_idx(tmp_path / "ok.idx", tmp_path / "shortlab.idx")
 
+    @pytest.mark.parametrize("size", [0, 3, 7])
+    def test_shorter_than_header_error(self, tmp_path, size):
+        images = struct.pack(">iiii", 0x00000803, 1, 28, 28) + bytes(784)
+        labels = struct.pack(">ii", 0x00000801, 1) + bytes(1)
+        (tmp_path / "images.idx").write_bytes(images[:2 * size + 1])
+        (tmp_path / "labels.idx").write_bytes(labels)
+        with pytest.raises(IdxTruncatedError,
+                           match=rf"images\.idx: header needs 16 bytes, file has {2 * size + 1}$"):
+            load_idx(tmp_path / "images.idx", tmp_path / "labels.idx")
+        (tmp_path / "images.idx").write_bytes(images)
+        (tmp_path / "labels.idx").write_bytes(labels[:size])
+        with pytest.raises(IdxTruncatedError,
+                           match=rf"labels\.idx: header needs 8 bytes, file has {size}$"):
+            load_idx(tmp_path / "images.idx", tmp_path / "labels.idx")
+
     def test_count_mismatch_error(self, tmp_path):
         (tmp_path / "images.idx").write_bytes(
             struct.pack(">iiii", 0x00000803, 2, 28, 28) + bytes(2 * 784)
@@ -271,6 +286,10 @@ class TestClassificationError:
             classification_error_batch(np.zeros(4120), synth_dataset)
         with pytest.raises(ValueError):
             classification_error_batch(np.zeros((2, 100)), synth_dataset)
+        # raw 784-pixel rows: prepare_dataset downsamples them, this does not
+        raw = ImageDataset(np.zeros((3, 784)), np.zeros(3, dtype=int))
+        with pytest.raises(ValueError, match="rows have 784 pixels, the network expects 196"):
+            classification_error_batch(np.zeros((2, 4120)), raw)
 
 
 def _argmax_errors(weights_batch, dataset):

@@ -316,6 +316,18 @@ class TestSelection:
         with pytest.raises(ValueError):
             select_survivors(old, np.zeros((4, 1)), np.array([1.0, np.nan, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("shape", [(4,), (4, 2), (1, 4, 1)])
+    def test_offspring_shape_checked(self, shape):
+        old = self._pop(np.zeros((4, 1)), [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match=r"offspring must be \(K, 1\), got shape"):
+            select_survivors(old, np.zeros(shape), np.zeros(4))
+
+    @pytest.mark.parametrize("values", [np.zeros(3), np.zeros((4, 1)), np.float64(0.0)])
+    def test_offspring_values_shape_checked(self, values):
+        old = self._pop(np.zeros((4, 1)), [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match="every offspring needs a cached objective value"):
+            select_survivors(old, np.zeros((4, 1)), values)
+
     def test_best_never_lost(self):
         rng = np.random.default_rng(21)
         old = self._pop(rng.normal(size=(6, 3)), rng.uniform(1, 9, 6))
@@ -426,6 +438,13 @@ class TestDeterminant:
         for kind in MatrixKind:
             assert determinant(build_matrix(kind, 0.0)) == 1.0
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (3, 4), (1, 3, 3)])
+    def test_non_3x3_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"expected a 3x3 matrix, got shape"):
+            determinant(np.ones(shape))
+        with pytest.raises(ValueError, match=r"expected a 3x3 matrix, got shape"):
+            invert_triplet_transform(np.ones(shape), np.zeros((2, 3, 1)))
+
 
 class TestEigenReport:
     def test_ade_at_half(self):
@@ -482,6 +501,20 @@ class TestPopulation:
     def test_value_shape_checked(self):
         with pytest.raises(ValueError):
             Population(members=np.zeros((4, 2)), values=np.zeros(5))
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2, 1), ()])
+    def test_members_must_be_a_matrix(self, shape):
+        with pytest.raises(ValueError, match=r"members must be \(N, D\), got shape"):
+            Population(members=np.zeros(shape), values=np.zeros(4))
+
+    def test_members_need_a_dimension(self):
+        with pytest.raises(ValueError, match="dimensionality >= 1"):
+            Population(members=np.zeros((4, 0)), values=np.zeros(4))
+
+    def test_generation_non_negative(self):
+        Population(members=np.zeros((4, 1)), values=np.zeros(4), generation=0)
+        with pytest.raises(ValueError, match="generation must be non-negative"):
+            Population(members=np.zeros((4, 1)), values=np.zeros(4), generation=-1)
 
     def test_best_index_needs_values(self):
         with pytest.raises(TypeError, match="values"):

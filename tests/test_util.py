@@ -4,8 +4,8 @@ built on it, the bench scripts, and the package's exports.
 Float formatting, the run-segment CSV writer against a per-row
 ``fmt_float`` reference, the trace, combined summary, observations and
 params CSVs, atomic writes, ``fork_map``'s hand-back of child results,
-smoke runs of ``bench/compare_backends.py`` and
-``bench/output_digests.py`` from a checkout, and the package's
+smoke runs of ``bench/compare_backends.py``, ``bench/output_digests.py``
+and ``bench/coverage.py`` from a checkout, and the package's
 module-level names: its exports and its shared, read-only arrays.
 """
 
@@ -14,6 +14,7 @@ import hashlib
 import importlib
 import os
 import pkgutil
+import re
 import signal
 import subprocess
 import sys
@@ -258,6 +259,24 @@ class TestAtomicWrite:
             atomic_write_text(path, Boom())   # type: ignore[arg-type]
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_unlink_keeps_the_write_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.txt"
+
+        def chunks():
+            yield "partial\n"
+            raise RuntimeError("formatting failed")
+
+        def refuse(name):
+            raise PermissionError(errno.EACCES, "unlink refused", name)
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            atomic_write_text(path, chunks())
+        monkeypatch.undo()
+        [left] = tmp_path.iterdir()   # the temp file the unlink could not remove
+        assert left.name.startswith(".tmp-") and left.name.endswith("~")
+        left.unlink()
+
 
 class KillOnPickle:
     """Pickling it SIGKILLs the process: a child dies mid-hand-back."""
@@ -364,6 +383,16 @@ class TestForkMap:
                 assert list(tmp_path.iterdir()) == []
 
 
+def test_usable_cpus_without_affinity_call(monkeypatch):
+    # a platform without sched_getaffinity counts every CPU, at least 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _util._usable_cpus() == 3
+    assert _util.split_processes(5) == (3 if hasattr(os, "fork") else 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _util._usable_cpus() == 1
+
+
 def test_compare_backends_runs_from_checkout(tmp_path):
     script = Path(__file__).resolve().parent.parent / "bench" / "compare_backends.py"
     env = dict(os.environ)
@@ -394,6 +423,30 @@ def test_output_digests_runs_from_checkout(tmp_path):
                  "mlp-held-out/summary.csv", "failing/manifest.json", "analyze/eigen.csv"):
         assert len(digests[name]) == 64
     assert list(tmp_path.iterdir()) == []
+
+
+def test_coverage_runner_counts_forked_children(tmp_path):
+    # fork_map's child body runs only in forked children, which dump their
+    # lines before os._exit; most of the package stays unreached here
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = ["-q", "-p", "no:cacheprovider", str(root / "tests" / "test_util.py"),
+            "-k", "TestForkMap and large_results"]
+    proc = subprocess.run([sys.executable, str(root / "bench" / "coverage.py"), *argv],
+                          env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    missed = [line for line in proc.stdout.splitlines() if line.startswith("src/revde/")]
+    *_, summary = proc.stdout.splitlines()
+    assert re.fullmatch(rf"{len(missed)} of \d+ executable lines in src/revde unreached", summary)
+    source = (root / "src" / "revde" / "_util.py").read_text().splitlines()
+    child = [n for n, text in enumerate(source, 1) if "pickle.dump(work(items[i::w])" in text]
+    assert len(child) == 1 and f"src/revde/_util.py:{child[0]}" not in missed
+    assert any(line.startswith("src/revde/cli.py:") for line in missed)
+
+
+def test_backend_name_is_numpy():
+    # perfbench/run.py records it: every kernel is numpy or Python-float code
+    assert revde.backend_name() == "numpy"
 
 
 def test_every_export_resolves():
