@@ -9,7 +9,9 @@ Runs ``pytest.main`` (on ``tests/`` when no argument is given) with a
 run in ``src/revde``.  A module's executable lines are those of
 ``co_lines()`` of its compiled code objects, recursively.  ``os._exit``
 is wrapped, so a forked child (``fork_map``'s shares) dumps its lines to
-a temp directory before it leaves, and they are merged.  Prints every
+a temp directory before it leaves, and they are merged; a child killed
+mid-dump (``fork_map`` kills the children whose items all follow a
+failure) leaves a partial file, which is skipped.  Prints every
 unreached line as ``path:line`` and exits non-zero if pytest fails or
 any executable line stays unreached.
 """
@@ -58,9 +60,11 @@ def main(argv: list[str]) -> int:
         real_exit = os._exit
 
         def exit_after_dump(status):
-            try:
-                with open(os.path.join(dumps, str(os.getpid())), "wb") as fh:
+            try:   # renamed once whole: a child killed mid-dump leaves only a .part
+                dump = os.path.join(dumps, str(os.getpid()))
+                with open(dump + ".part", "wb") as fh:
                     pickle.dump(hits, fh)
+                os.replace(dump + ".part", dump)
             finally:   # a child must never return into the caller's code
                 real_exit(status)
 
@@ -74,7 +78,8 @@ def main(argv: list[str]) -> int:
             threading.settrace(None)
             os._exit = real_exit
         for dump in Path(dumps).iterdir():
-            hits |= pickle.loads(dump.read_bytes())
+            if dump.suffix != ".part":
+                hits |= pickle.loads(dump.read_bytes())
     hits = {(os.path.realpath(name), line) for name, line in hits}
     missed, total = [], 0
     for name, path in files.items():

@@ -12,32 +12,28 @@ temp file of ``atomic_write_text``; no whole-file string is built.
 Independent work runs side by side on one of two carriers, one share
 per usable CPU, with share i = items[i::w]:
   - ``fork_map``: forked processes, for code that holds the GIL (the
-    repressilator fit's batch of DOPRI5 solves and ``revde run``'s
-    methods);
+    repressilator fit's DOPRI5 solves and ``revde run``'s methods);
   - ``thread_shares``: threads, for numpy/BLAS chunks, whose products
     and ufunc loops release the GIL (the MLP objective's batch).
 ``fork_map``'s rules:
-  - the caller runs share 0 and forks one child per other share, each
-    running the same ``work``;
-  - a child pickles its results, a list, into an unnamed temp file the
-    caller opened before the fork (a pipe's buffer would keep a child
-    with a large result alive until the caller's share ends), and leaves
-    with os._exit (0 on success, 1 on any exception); it never returns
-    into the caller;
-  - the caller reaps every child, then loads its file, before the call
-    returns or raises, so no process outlives the call;
-  - the share of a child that failed, sent short data, had no file or
-    could not be forked is run in the caller, so a call that returns
-    gives the serial result;
-  - after every child is reaped, the call raises the exception of the
-    lowest-numbered share whose ``work`` raised in the caller, which need
-    not be the first failing item's (items [0, 1, 2] failing at 1 and 2
-    over 2 shares raise item 2's); a ``work`` that needs the first
-    failure in item order returns failures as values, as ``revde run``'s
-    method shares do;
-  - ``fork_map`` sizes its own split: w = ``split_processes(len(items))``
-    = min(usable CPUs, items), so with one usable CPU (``taskset -c 0``),
-    one item, or no os.fork the work runs serially in the caller.
+  - ``fork_map(fn, items)`` returns ``[fn(item) for item in items]`` or
+    raises that loop's exception, the first failing item's;
+  - the caller runs share 0 and forks one child per other share; a share
+    runs its items in order up to its first failure, and a child pickles
+    its ``(results, exception)`` into an unnamed temp file the caller
+    opened before the fork (a pipe's buffer would keep a child with a
+    large result alive until the caller's share ends), then leaves with
+    os._exit (1 where it could not); it never returns into the caller;
+  - a failure of the caller's share at item f kills every child i > f,
+    whose items all follow f; every child is reaped and its file loaded
+    before the call returns or raises, so no process outlives the call;
+  - the caller walks the items in order and raises at the first failing
+    one; an item whose child handed back nothing (it died or exited 1,
+    had no file, could not be forked, or sent data that does not load)
+    runs in the caller when the walk reaches it;
+  - w = ``split_processes(len(items))`` = min(usable CPUs, items), so with
+    one usable CPU (``taskset -c 0``), one item, or no os.fork the work
+    runs serially in the caller.
 ``thread_shares``' rules:
   - the caller runs share 0 and starts one thread per other share; each
     share writes its results into buffers the caller allocated, so no
@@ -76,9 +72,10 @@ import ctypes
 import functools
 import os
 import pickle
+import signal
 import tempfile
 import threading
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -246,42 +243,57 @@ def thread_shares(work: Callable[[int], None], w: int) -> None:
             raise exc
 
 
-def fork_map(work: Callable[[list], list], items: list) -> list:
-    """``work(items)`` as a list, share i = ``items[i::w]`` run in process i,
-    with w = ``split_processes(len(items))``."""
+def _run_share(fn: Callable, share: list) -> tuple:
+    """``fn`` over ``share`` up to its first failure: ``(results, exception or None)``."""
+    results = []
+    try:
+        for item in share:
+            results.append(fn(item))
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
+def fork_map(fn: Callable, items: list) -> list:
+    """``[fn(item) for item in items]``, or the exception that loop raises,
+    with item k run in process k % w, w = ``split_processes(len(items))``."""
     w = split_processes(len(items))
     if w < 2:
-        return work(items)
-    out = list(items)
-    children, done = [], {0}
+        return [fn(item) for item in items]
+    shares, children = [None] * w, []   # share i's (results, exception) once handed back
     with ExitStack() as files:
         try:
             for i in range(1, w):
                 try:
                     fh = files.enter_context(tempfile.TemporaryFile())
                     pid = os.fork()
-                except OSError:   # no file or process to spare: the share runs here
+                except OSError:   # no file or process to spare: its items run here
                     break
                 if pid == 0:   # child: never returns into the caller
                     status = 1
                     try:
-                        pickle.dump(work(items[i::w]), fh, pickle.HIGHEST_PROTOCOL)
+                        pickle.dump(_run_share(fn, items[i::w]), fh, pickle.HIGHEST_PROTOCOL)
                         fh.flush()
                         status = 0
                     finally:
                         os._exit(status)
                 children.append((i, pid, fh))
-            out[0::w] = work(items[0::w])
+            done, failed = shares[0] = _run_share(fn, items[0::w])
+            for i, pid, fh in children:
+                if failed is not None and i > len(done) * w:   # all of share i follows the failed item
+                    os.kill(pid, signal.SIGKILL)
         finally:
             for i, pid, fh in children:
                 if os.waitpid(pid, 0)[1] == 0:
-                    try:
+                    with suppress(Exception):   # not loadable here: its items run here
                         fh.seek(0)
-                        out[i::w] = pickle.load(fh)
-                        done.add(i)
-                    except Exception:   # short, or not loadable here: the share runs here
-                        pass
-    for i in range(1, w):
-        if i not in done:
-            out[i::w] = work(items[i::w])
+                        shares[i] = pickle.load(fh)
+    out = []
+    for k, item in enumerate(items):
+        if (share := shares[k % w]) is None:   # no hand-back: the item runs here
+            out.append(fn(item))
+        elif k // w < len(share[0]):
+            out.append(share[0][k // w])
+        else:
+            raise share[1]
     return out

@@ -18,11 +18,10 @@ fails mid-way; every CSV is written atomically.
 The methods share no state, so ``_util.fork_map`` (split and rules
 there) deals each method's ``RunConfig`` over forked processes for every
 problem; the manifest records the planned count as ``method_processes``.
-A share runs its methods and returns their results, or returns, not
-raises, a failure; it writes no file.  The caller writes every file,
-the traces, the summary, the params CSVs and the manifest, in method
-order, and raises the first failure, so every output is the serial
-run's.
+A method's process returns its results and writes no file; ``fork_map``
+returns them in method order or raises the first failure, as a serial
+loop would.  The caller writes every file, the traces, the summary, the
+params CSVs and the manifest, so every output is the serial run's.
 """
 
 from __future__ import annotations
@@ -357,32 +356,22 @@ def _run_method_suite(config: ExperimentConfig, objective: Objective, outdir: Pa
     """Shared benchmark/repressilator/mlp loop: traces and summaries.
 
     Every method runs on ``objective`` in the process of its share, which
-    returns its result and touches no file.  The caller writes every
-    trace and records the methods in order, and raises the first failure,
-    as a serial run would.
+    returns its result and touches no file.  ``fork_map`` returns the
+    results in method order, or raises the first method's failure, as a
+    serial loop would; then the caller writes every trace.
     """
     runs = [_run_config(config, m) for m in config.methods]
     # the evaluation labels of every trace and of the summary, built once
     numbers = row_numbers(max(run_cfg.total_evaluations for run_cfg in runs))
 
-    def run_share(share: list) -> list:
-        """(traces, summary) per run; a failure ends the share."""
-        done = []
-        for run_cfg in share:
-            try:
-                done.append(run_repeated(run_cfg, objective, config.repeats,
-                                         keep_history=keep_history))
-            except Exception as exc:
-                return done + [exc] * (len(share) - len(done))
-        return done
+    def run_method(run_cfg: RunConfig):
+        # cli.run_repeated is read at each call: perfbench's tracer and tests patch it
+        return run_repeated(run_cfg, objective, config.repeats, keep_history=keep_history)
 
     summaries = {}
     results = {}
-    for run_cfg, result in zip(runs, fork_map(run_share, runs)):
-        if isinstance(result, Exception):
-            raise result
+    for run_cfg, (traces, summary) in zip(runs, fork_map(run_method, runs)):
         method = run_cfg.method
-        traces, summary = result
         trace_path = outdir / f"trace_{method.value}.csv"
         write_trace_csv(traces[0], trace_path, numbers)
         manifest["outputs"].append(trace_path.name)

@@ -341,13 +341,13 @@ def run_repeated(
     traces = [run(replace(config, seed=config.seed + r), objective,
                   keep_history=keep_history and r == 0) for r in range(repeats)]
     stacked = np.stack([t.best_objective for t in traces])
-    # a column holding inf has a NaN std (inf - inf); it has no spread
-    # where every repeat agrees (all still +inf), else an infinite one
+    # a column holding inf has a NaN std (inf - inf): none where every repeat
+    # agrees (all still +inf), else inf; with +inf and -inf its mean is NaN
     with np.errstate(invalid="ignore"):
-        std = stacked.std(axis=0)
+        mean, std = stacked.mean(axis=0), stacked.std(axis=0)
     nan = np.isnan(std)
     std[nan] = np.where((stacked[:, nan] == stacked[0, nan]).all(axis=0), 0.0, np.inf)
-    return traces, RunSummary(mean=stacked.mean(axis=0), std=std)
+    return traces, RunSummary(mean=mean, std=std)
 
 
 def write_trace_csv(trace: RunTrace, path, numbers=None) -> None:

@@ -32,9 +32,9 @@ where it cannot fire (``_hill_cutoff``).
 
 Each solve holds the GIL, so the fit objective deals a batch of rows
 over forked processes with ``_util.fork_map``, whose docstring gives
-the split and its rules; every process runs the one loss loop of
-``make_fit_objective``, so values are bit-identical to the serial batch
-for any process count.
+the split and its rules; every process scores a row with the one loss
+of ``make_fit_objective``, so values are bit-identical to the serial
+batch for any process count.
 """
 
 from __future__ import annotations
@@ -477,12 +477,11 @@ def make_fit_objective(
     times = obs.times
     target = obs.mrna
 
-    def losses(rows: list) -> list:
-        return [_mrna_distance(*_dopri5(a0, hn, bb, aa, y0, times, *_SOLVE), target)
-                for a0, hn, bb, aa in rows]
+    def loss(row: list) -> float:
+        return _mrna_distance(*_dopri5(*row, y0, times, *_SOLVE), target)
 
     def batch(x: np.ndarray) -> np.ndarray:
-        return np.array(fork_map(losses, x.tolist()), dtype=np.float64)
+        return np.array(fork_map(loss, x.tolist()), dtype=np.float64)
 
     return Objective(batch, bounds)
 

@@ -4,6 +4,7 @@ temp file or an open file descriptor behind."""
 
 import gzip
 import os
+import pickle
 import struct
 import threading
 
@@ -73,6 +74,18 @@ def no_fd_left():
     left = sorted(set(os.listdir(fds)) - before, key=int)
     if left:
         pytest.fail(f"the test left file descriptors open: {', '.join(left)}")
+
+
+def refuse_to_load():
+    raise pickle.UnpicklingError("not loadable in this process")
+
+
+class Unloadable:
+    """Pickles, but loading it raises: a child's hand-back that the
+    calling process cannot load."""
+
+    def __reduce__(self):
+        return refuse_to_load, ()
 
 
 def revde_recursion(x1, x2, x3, f):

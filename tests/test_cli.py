@@ -904,6 +904,24 @@ class TestMethodSplit:
             assert manifest == serial_manifest
             assert files == serial
 
+    def test_infinite_evaluator_as_serial(self, monkeypatch, tmp_path):
+        # +inf and -inf are scores, not failures: nothing is counted as NaN
+        self.plant_kernel(monkeypatch, lambda values, x: np.select(
+            [x[:, 0] > 3.0, x[:, 0] < -3.0], [np.inf, -np.inf], values))
+        code, _, serial, serial_manifest = self.run(monkeypatch, tmp_path, 1, self.SUITE)
+        assert code == 0
+        assert {m: run["nan_evaluations"] for m, run in serial_manifest["runs"].items()} == {
+            "de": 0, "dex3": 0, "ade": 0, "revde": 0}
+        # the repeats' first candidates score +inf and -inf: a NaN mean, no warning
+        assert serial["summary.csv"].splitlines()[1] == b"1,nan,inf,nan,inf,nan,inf,nan,inf"
+        del serial_manifest["method_processes"]
+        for cpus in (2, 4):
+            code, _, files, manifest = self.run(monkeypatch, tmp_path, cpus, self.SUITE)
+            assert code == 0
+            assert manifest.pop("method_processes") == cpus
+            assert manifest == serial_manifest
+            assert files == serial
+
     @pytest.mark.parametrize("failing", [(), ("dex3",)])
     def test_fork_failure_is_serial(self, monkeypatch, tmp_path, capsys, failing):
         self.plant(monkeypatch, failing)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import _reference_dopri5
+from conftest import Unloadable
 from revde import _util, repressilator
 from revde.engine import BoxBounds
 from revde.repressilator import (
@@ -372,15 +374,58 @@ class TestProcessSplit:
         assert batch(cands).tobytes() == serial.tobytes()
         self.assert_no_children()
 
-    def test_short_child_data_scored_in_process(self, monkeypatch):
-        parent = os.getpid()
+    def test_unloadable_child_data_scored_in_process(self, monkeypatch, clean_obs, cands):
+        batch = make_fit_objective(clean_obs).batch_fn
+        self.set_cpus(monkeypatch, 1)
+        serial = batch(cands)
+        distance, parent = repressilator._mrna_distance, os.getpid()
 
-        def score(rows):   # a child that exits 0 but sends one value short
-            values = np.array(rows, dtype=float)
-            return values if os.getpid() == parent else values[:-1]
+        def unloadable(*args):   # a child's losses pickle but do not load in the caller
+            return distance(*args) if os.getpid() == parent else Unloadable()
 
-        self.set_cpus(monkeypatch, 2)
-        assert _util.fork_map(score, list(range(5))) == list(range(5))
+        monkeypatch.setattr(repressilator, "_mrna_distance", unloadable)
+        for cpus in (2, 3):
+            self.set_cpus(monkeypatch, cpus)
+            assert batch(cands).tobytes() == serial.tobytes()
+            self.assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_first_failing_row_raises(self, monkeypatch, clean_obs, cands, cpus):
+        """Rows 2 and 3 raise: row 2's error, as in a serial batch.  Over 2
+        processes row 2 fails in the caller's share and row 3 in the child's;
+        over 3, row 3 fails in the caller's share and row 2 in a child's."""
+        solve, failing = repressilator._dopri5, {cands[2, 0]: 2, cands[3, 0]: 3}
+
+        def planted(a0, *args):
+            if a0 in failing:
+                raise KeyError(failing[a0])
+            return solve(a0, *args)
+
+        monkeypatch.setattr(repressilator, "_dopri5", planted)
+        self.set_cpus(monkeypatch, cpus)
+        with pytest.raises(KeyError) as exc:
+            make_fit_objective(clean_obs).batch_fn(cands)
+        assert exc.value.args == (2,)
+        self.assert_no_children()
+
+    @pytest.mark.parametrize("cpus, row", [(2, 3), (3, 4)])
+    def test_child_killed_mid_batch_scored_in_process(self, monkeypatch, clean_obs, cands,
+                                                      cpus, row):
+        # child 1's share is rows [1, 3] over 2 processes and [1, 4] over 3:
+        # it dies by SIGKILL at its second row
+        batch = make_fit_objective(clean_obs).batch_fn
+        self.set_cpus(monkeypatch, 1)
+        serial = batch(cands)
+        solve, parent = repressilator._dopri5, os.getpid()
+
+        def dying(a0, *args):
+            if a0 == cands[row, 0] and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return solve(a0, *args)
+
+        monkeypatch.setattr(repressilator, "_dopri5", dying)
+        self.set_cpus(monkeypatch, cpus)
+        assert batch(cands).tobytes() == serial.tobytes()
         self.assert_no_children()
 
     def test_fork_failure_scored_in_process(self, monkeypatch, clean_obs, cands):

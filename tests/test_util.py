@@ -19,12 +19,14 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import Unloadable
 import revde
 from revde import _util
 from revde._util import atomic_write_text, fmt_float, row_numbers, write_csv
@@ -286,7 +288,8 @@ class KillOnPickle:
 
 
 class TestForkMap:
-    """``fork_map`` against ``work(items)`` in the calling process.
+    """``fork_map(fn, items)`` against ``[fn(item) for item in items]`` in
+    the calling process, in its results and in the exception it raises.
 
     Each test fakes the usable CPU count, from which ``fork_map`` sizes
     its split, so the split runs on a 1-CPU machine too; the conftest
@@ -312,8 +315,8 @@ class TestForkMap:
         return calls
 
     @staticmethod
-    def big(share):
-        return [(i, bytes([i]) * TestForkMap.PAYLOAD) for i in share]
+    def big(i):
+        return i, bytes([i]) * TestForkMap.PAYLOAD
 
     @pytest.mark.parametrize("cpus, count", [
         *(pytest.param(cpus, 8, id=str(cpus)) for cpus in (1, 2, 3, 4)),
@@ -323,7 +326,7 @@ class TestForkMap:
         """One fork per share but the caller's, and no more shares than items."""
         self.set_cpus(monkeypatch, cpus)
         items = list(range(count))
-        assert _util.fork_map(self.big, items) == self.big(items)
+        assert _util.fork_map(self.big, items) == [self.big(i) for i in items]
         assert len(forks) == min(cpus, count) - 1
 
     def test_no_channel_forks_nothing(self, monkeypatch, forks):
@@ -333,54 +336,79 @@ class TestForkMap:
         monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
         self.set_cpus(monkeypatch, 3)
         items = list(range(6))
-        assert _util.fork_map(self.big, items) == self.big(items)
+        assert _util.fork_map(self.big, items) == [self.big(i) for i in items]
         assert forks == []
 
     def test_killed_child_share_runs_in_caller(self, monkeypatch):
         parent = os.getpid()
 
-        def work(share):   # a child dies handing back, after 1 MB reached its file
+        def fn(i):   # a child dies handing back, after 1 MB reached its file
             dying = os.getpid() != parent
-            return [(i, b"x" * self.PAYLOAD, KillOnPickle() if dying else None) for i in share]
+            return i, b"x" * self.PAYLOAD, KillOnPickle() if dying else None
 
         self.set_cpus(monkeypatch, 2)
         items = list(range(4))
-        assert _util.fork_map(work, items) == work(items)
+        assert _util.fork_map(fn, items) == [fn(i) for i in items]
 
-    @pytest.mark.parametrize("cpus, raised", [(2, 2), (3, 1)])
-    def test_raises_lowest_failing_share(self, monkeypatch, cpus, raised):
-        """Items 1 and 2 fail: over 2 shares the caller's share [0, 2]
-        raises item 2's error, where a serial call raises item 1's; over
-        3 the failed child's share [1] reruns in the caller and raises."""
-        def work(share):
-            for i in share:
-                if i > 0:
-                    raise KeyError(i)
-            return share
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_raises_first_failing_item(self, monkeypatch, cpus):
+        """Items 1 and 2 fail: item 1's error is raised, as by the serial
+        loop, also where the caller's share [0, 2] fails at item 2 first."""
+        def fn(i):
+            if i > 0:
+                raise KeyError(i)
+            return i
 
         self.set_cpus(monkeypatch, cpus)
         with pytest.raises(KeyError) as exc:
-            _util.fork_map(work, [0, 1, 2])
-        assert exc.value.args == (raised,)
+            _util.fork_map(fn, [0, 1, 2])
+        assert exc.value.args == (1,)
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_caller_failure_stops_later_children(self, monkeypatch, cpus):
+        """Item 0 fails in the caller, so every child's items follow the
+        failure: the children are killed, not waited for, and none of
+        their items runs again in the caller."""
+        parent = os.getpid()
+
+        def fn(i):
+            if i == 0:
+                raise KeyError(i)
+            assert os.getpid() != parent, f"item {i} ran in the caller"
+            time.sleep(20)
+            return i
+
+        self.set_cpus(monkeypatch, cpus)
+        started = time.monotonic()
+        with pytest.raises(KeyError) as exc:
+            _util.fork_map(fn, list(range(6)))
+        assert exc.value.args == (0,)
+        assert time.monotonic() - started < 10
+        with pytest.raises(ChildProcessError):   # no child left, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_tempdir_left_empty(self, monkeypatch, tmp_path):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         parent = os.getpid()
 
-        def short(share):   # a child that exits 0 but sends one value short
-            return share if os.getpid() == parent else share[:-1]
+        def unloadable(i):   # a child hands back data the caller cannot load
+            return i if os.getpid() == parent else Unloadable()
 
-        def failing(share):
+        def failing(i):   # a child's error is handed back and raised
             if os.getpid() != parent:
-                raise KeyError("child")
-            return share
+                raise KeyError(i)
+            return i
 
         items = list(range(5))
-        for work in (self.big, short, failing):
-            for cpus in (2, 3):
-                self.set_cpus(monkeypatch, cpus)
-                assert _util.fork_map(work, items) == work(items)
+        for cpus in (2, 3):
+            self.set_cpus(monkeypatch, cpus)
+            for fn in (self.big, unloadable):
+                assert _util.fork_map(fn, items) == [fn(i) for i in items]
                 assert list(tmp_path.iterdir()) == []
+            with pytest.raises(KeyError) as exc:
+                _util.fork_map(failing, items)
+            assert exc.value.args == (1,)
+            assert list(tmp_path.iterdir()) == []
 
 
 def test_usable_cpus_without_affinity_call(monkeypatch):
@@ -439,7 +467,8 @@ def test_coverage_runner_counts_forked_children(tmp_path):
     *_, summary = proc.stdout.splitlines()
     assert re.fullmatch(rf"{len(missed)} of \d+ executable lines in src/revde unreached", summary)
     source = (root / "src" / "revde" / "_util.py").read_text().splitlines()
-    child = [n for n, text in enumerate(source, 1) if "pickle.dump(work(items[i::w])" in text]
+    line = "pickle.dump(_run_share(fn, items[i::w])"
+    child = [n for n, text in enumerate(source, 1) if line in text]
     assert len(child) == 1 and f"src/revde/_util.py:{child[0]}" not in missed
     assert any(line.startswith("src/revde/cli.py:") for line in missed)
 
