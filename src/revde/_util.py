@@ -48,11 +48,12 @@ per usable CPU, with share i = items[i::w]:
   - ``split_threads`` gives w = min(usable CPUs, items), or 1 where
     numpy's OpenBLAS has no thread-count calls (another numpy build or
     BLAS), and then the work runs serially in the caller.
-Measured on 2 CPUs at one BLAS thread, a batch of 150 MLP candidates
-on 2,000 images fell from 82-97 ms serially to 43-51 ms on 2 threads
-(50 candidates: 24-35 to 16-20 ms).  Against BLAS's default of 2 threads
-the gain is smaller than the host's noise: 55-63 to 47-50 ms in one
-measurement, 43-55 to 36-58 ms in another.  Measured and rejected:
+Measured on 2 CPUs at one BLAS thread (2026-10-22, pixel-major rows
+from ``mlp.prepare_dataset``, medians of 12 calls in 6 rounds), a batch
+of 150 MLP candidates on 2,000 images fell from 65-82 ms serially to
+36-44 ms on 2 threads (50 candidates: 25-29 to 12-14 ms).  Against
+BLAS's default of 2 threads the gain is within the host's noise:
+42-54 ms serially against 44-47 ms on 2 threads.  Measured and rejected:
   - ``fork_map`` shares: at 2 BLAS threads the 150-candidate batch took
     106-128 ms against 55-67 ms serially, and one fork costs 3.7-13 ms,
     growing with the size of the process;

@@ -44,6 +44,7 @@ from .engine import (
     Method,
     Objective,
     RunConfig,
+    checked_operator,
     run_repeated,
     write_trace_csv,
 )
@@ -355,12 +356,16 @@ def _run_method_suite(config: ExperimentConfig, objective: Objective, outdir: Pa
                       manifest: dict, keep_history: bool = False):
     """Shared benchmark/repressilator/mlp loop: traces and summaries.
 
-    Every method runs on ``objective`` in the process of its share, which
-    returns its result and touches no file.  ``fork_map`` returns the
-    results in method order, or raises the first method's failure, as a
-    serial loop would; then the caller writes every trace.
+    Every method's ``f`` is checked against the box first, so an overflow
+    fails before any method spends its budget.  Every method runs on
+    ``objective`` in the process of its share, which returns its result
+    and touches no file.  ``fork_map`` returns the results in method
+    order, or raises the first method's failure, as a serial loop would;
+    then the caller writes every trace.
     """
     runs = [_run_config(config, m) for m in config.methods]
+    for run_cfg in runs:
+        checked_operator(run_cfg, objective.bounds)
     # the evaluation labels of every trace and of the summary, built once
     numbers = row_numbers(max(run_cfg.total_evaluations for run_cfg in runs))
 

@@ -10,8 +10,9 @@ over processes is set out in :mod:`revde._util`.  A generation is one
 :class:`~revde.transforms.Population`, always evaluated, and a kept
 history is the run's own populations.  Before its first evaluation a
 run rejects an ``f`` at which a trial coordinate could overflow float64
-from the objective's box; after its last it checks the objective's
-evaluation count against the budget.
+from the objective's box (:func:`checked_operator`, which ``revde run``
+also calls for every method before the first); after its last it checks
+the objective's evaluation count against the budget.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "RunConfig",
     "RunTrace",
     "RunSummary",
+    "checked_operator",
     "run",
     "run_repeated",
     "write_trace_csv",
@@ -273,22 +275,14 @@ def _offspring_for_generation(
     return repair_bounds(offspring.reshape(-1, d), bounds.lower, bounds.upper)
 
 
-def run(
-    config: RunConfig,
-    objective: Objective,
-    keep_history: bool = False,
-) -> RunTrace:
-    """Execute G generations and return the full evaluation trace.
+def checked_operator(config: RunConfig, bounds: BoxBounds) -> np.ndarray:
+    """The run's 3x3 operator, once its trials from ``bounds`` are known finite.
 
-    Raises ValueError before the first evaluation where the box's largest
-    |coordinate| times the operator's largest absolute row sum overflows;
-    DE's and DEx3's trials are ADE's first row ``[1, f, -f]``.  Raises
-    RuntimeError after the last generation where the objective's counter
-    moved by other than ``config.total_evaluations``.  ``keep_history``
-    keeps every population of the run, uncopied: no operator or objective
-    of this package writes into a population's arrays.
+    Raises ValueError where the box's largest |coordinate| times the
+    operator's largest absolute row sum overflows; DE's and DEx3's trials
+    are ADE's first row ``[1, f, -f]``.  The check needs only the config
+    and the box, so ``revde run`` makes it for every method before the first.
     """
-    bounds = objective.bounds
     operator = build_matrix(config.method.matrix_kind or MatrixKind.ADE_M, config.f)
     box = np.abs([bounds.lower, bounds.upper]).max()
     # Python floats: an overflow is an inf here, not a RuntimeWarning
@@ -296,6 +290,25 @@ def run(
     if not math.isfinite(reach):
         raise ValueError(f"scaling factor f = {config.f} overflows float64 in the "
                          f"{config.method.value} trials from this box")
+    return operator
+
+
+def run(
+    config: RunConfig,
+    objective: Objective,
+    keep_history: bool = False,
+) -> RunTrace:
+    """Execute G generations and return the full evaluation trace.
+
+    Raises :func:`checked_operator`'s ValueError before the first
+    evaluation.  Raises RuntimeError after the last generation where the
+    objective's counter moved by other than ``config.total_evaluations``.
+    ``keep_history`` keeps every population of the run, uncopied: no
+    operator or objective of this package writes into a population's
+    arrays.
+    """
+    bounds = objective.bounds
+    operator = checked_operator(config, bounds)
     rng = np.random.default_rng(config.seed)
     counter_before = objective.evaluation_counter
     nan_before = objective.nan_evaluations

@@ -12,7 +12,10 @@ the max over classes is a contiguous reduction, and runs ``np.argmax``
 only on images whose top is tied or NaN.  It deals the batch's chunks
 over one thread per usable CPU, each holding numpy's BLAS to one thread
 (``_util.thread_shares``), so the errors are the same bytes however many
-CPUs score them.
+CPUs score them.  :func:`prepare_dataset` stores its ``(n, 196)`` rows
+pixel-major, so the hidden-layer product reads ``images.T`` as a
+C-contiguous ``(196, n)`` operand; a C-ordered dataset gives the same
+bytes, more slowly.
 
 Includes one IDX reader (the MNIST distribution format, gzip detected
 by magic bytes) that serves both images (3-D) and labels (1-D): the
@@ -203,7 +206,8 @@ def _chunk_errors(weights, dataset: ImageDataset, label_at, out, buffers) -> Non
     split = SHAPE.hidden_weights
     w1, h, logits, top, label, at_top, count, single, hit = (b[:c] for b in buffers)
     np.copyto(w1, weights[:, :split].reshape(c, h_dim, SHAPE.input_dim))
-    # (c*H, P) @ (P, n): images.T goes to BLAS as a transposed view
+    # (c*H, P) @ (P, n): images.T is C-contiguous for prepare_dataset's
+    # pixel-major rows, a strided transposed view for C-ordered ones
     np.matmul(w1.reshape(c * h_dim, SHAPE.input_dim), dataset.images.T,
               out=h.reshape(c * h_dim, n))
     np.maximum(h, 0.0, out=h)
@@ -279,7 +283,8 @@ def prepare_dataset(
 
     The subset is the first ``train_size`` records, matching a
     deterministic read of the source file; pass ``shuffle_seed`` to draw
-    a seeded random subset instead.
+    a seeded random subset instead.  The returned rows are stored
+    pixel-major (Fortran order).
     """
     images, labels = dataset.images, dataset.labels
     if images.shape[1] == 784:
@@ -295,7 +300,8 @@ def prepare_dataset(
                 f"train_size must be in 1..{images.shape[0]}, got {train_size}"
             )
         images, labels = images[:train_size], labels[:train_size]
-    return ImageDataset(images=images, labels=labels)
+    # copies only the subset; images.T is then C-contiguous
+    return ImageDataset(images=np.asfortranarray(images), labels=labels)
 
 
 def make_error_objective(dataset: ImageDataset) -> Objective:

@@ -864,6 +864,47 @@ class TestMethodSplit:
         assert files == serial
         assert manifest == serial_manifest
 
+    def test_child_killed_mid_run_as_serial(self, monkeypatch, tmp_path):
+        # each child SIGKILLs itself at its 4th evaluation call, in generation
+        # 3 of its first method's first repeat; the caller runs its methods
+        _, _, serial, serial_manifest = self.run(monkeypatch, tmp_path, 1, self.SUITE)
+        del serial_manifest["method_processes"]
+        parent, calls, killed = os.getpid(), [], tmp_path / "killed"
+        killed.mkdir()
+
+        def die_midway(values, x):
+            calls.append(1)      # each child counts in its own copy
+            if os.getpid() != parent and len(calls) == 4:
+                (killed / str(os.getpid())).touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return values
+
+        self.plant_kernel(monkeypatch, die_midway)
+        for cpus in (2, 4):
+            calls.clear()        # the children fork before the caller evaluates
+            for marker in killed.iterdir():
+                marker.unlink()
+            code, forks, files, manifest = self.run(monkeypatch, tmp_path, cpus, self.SUITE)
+            assert (code, forks, manifest.pop("method_processes")) == (0, cpus - 1, cpus)
+            assert len(list(killed.iterdir())) == cpus - 1
+            assert files == serial
+            assert manifest == serial_manifest
+            with pytest.raises(ChildProcessError):   # no child left, running or unreaped
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_overflowing_f_fails_before_any_method(self, monkeypatch, tmp_path, capsys):
+        # de's trials stay finite at f = 5e102, revde's do not: de never runs
+        calls = []
+        self.plant_kernel(monkeypatch, lambda values, x: calls.append(1) or values)
+        error = "scaling factor f = 5e+102 overflows float64 in the revde trials from this box"
+        for cpus in (1, 2):
+            code, forks, files, manifest = self.run(monkeypatch, tmp_path, cpus, self.SUITE,
+                                                    "--methods", "de,revde", "--f", "5e102")
+            assert (code, forks, files, calls) == (1, 0, {}, [])
+            assert manifest["error"] == f"ValueError: {error}"
+            assert manifest["runs"] == {}
+            assert capsys.readouterr().err == f"error: {error}\n"
+
     @staticmethod
     def plant_kernel(monkeypatch, kernel):
         """Score Rastrigin with ``kernel(values, x)``; ``BenchmarkSpec.batch``

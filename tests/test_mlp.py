@@ -357,6 +357,21 @@ class TestClassPick:
                 monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
                 assert classification_error_batch(wb, workload_dataset).tobytes() == expected
 
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 150])
+    def test_pixel_major_rows_give_the_same_bytes(self, monkeypatch, workload_dataset, k):
+        # prepare_dataset's layout against C-ordered rows; from k = 8 the
+        # rows hold the tied-pair and NaN kinds
+        pixel_major = ImageDataset(np.asfortranarray(workload_dataset.images),
+                                   workload_dataset.labels)
+        assert pixel_major.images.T.flags.c_contiguous
+        assert workload_dataset.images.flags.c_contiguous
+        wb = _pick_rows(np.random.default_rng(50 + k), k)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+                assert (classification_error_batch(wb, pixel_major).tobytes()
+                        == classification_error_batch(wb, workload_dataset).tobytes())
+
     def test_matches_reference_where_finite(self, synth_dataset):
         wb = _pick_rows(np.random.default_rng(40), 20,
                         ("random", "small", "pair", "zero output", "dead hidden"))
@@ -536,6 +551,18 @@ class TestPrepareDataset:
         assert np.array_equal(a.images, b.images)
         assert not np.array_equal(a.labels, synth_dataset.labels)
         assert sorted(a.labels.tolist()) == sorted(synth_dataset.labels.tolist())
+
+    @pytest.mark.parametrize("pixels", [784, 196])
+    @pytest.mark.parametrize("kwargs", [{}, {"shuffle_seed": 5}, {"train_size": 7},
+                                        {"shuffle_seed": 5, "train_size": 7}])
+    def test_rows_stored_pixel_major(self, pixels, kwargs):
+        # the hidden-layer product reads images.T, contiguous on every path
+        rng = np.random.default_rng(6)
+        raw = ImageDataset(rng.uniform(0, 1, size=(12, pixels)), rng.integers(0, 10, 12))
+        assert raw.images.flags.c_contiguous and not raw.images.T.flags.c_contiguous
+        ds = prepare_dataset(raw, **kwargs)
+        assert ds.images.shape == (kwargs.get("train_size", 12), 196)
+        assert ds.images.T.flags.c_contiguous
 
     def test_invalid_sizes(self, synth_dataset):
         with pytest.raises(ValueError):
